@@ -20,7 +20,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels as kern
 from .errors import ParameterError
 from .kvstore import ScoreVector
 
@@ -79,6 +78,37 @@ def _scale(cfg: AttnScoreConfig, d: int) -> float:
     return 1.0 / math.sqrt(d) if cfg.scale is None else float(cfg.scale)
 
 
+def _softmax_colsum(logits, out):
+    """Accumulate the column sums of the row-softmax of ``logits`` into ``out``."""
+    p = logits - logits.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    out += p.sum(axis=0)
+
+
+def _causal_softmax_colsum(logits, start, out):
+    """Masked variant of _softmax_colsum: row i only sees columns <= start + i."""
+    m, n = logits.shape
+    visible = np.arange(n)[None, :] <= (start + np.arange(m))[:, None]
+    p = np.where(visible, logits, -np.inf)
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    out += p.sum(axis=0)
+
+
+def _causal_scores(Q, K, cfg: AttnScoreConfig, start: int) -> ScoreVector:
+    """Causal attention accumulated over query rows start..N-1, in blocks of _ROW_BLOCK rows."""
+    n = Q.shape[0]
+    scale = _scale(cfg, Q.shape[1])
+    out = np.zeros(n)
+    for s in range(start, n, _ROW_BLOCK):
+        e = min(s + _ROW_BLOCK, n)
+        logits = scale * (Q[s:e] @ K.T)
+        _causal_softmax_colsum(logits, s, out)
+    return ScoreVector(out, kind="baseline")
+
+
 def noncausal_scores(Q: np.ndarray, K: np.ndarray, cfg: AttnScoreConfig = AttnScoreConfig()) -> ScoreVector:
     """Chunked non-causal attention received per token.
 
@@ -93,21 +123,14 @@ def noncausal_scores(Q: np.ndarray, K: np.ndarray, cfg: AttnScoreConfig = AttnSc
     for s in range(0, n, cfg.chunk_size):
         e = min(s + cfg.chunk_size, n)
         logits = scale * (Q[s:e] @ K[s:e].T)
-        kern.softmax_colsum(logits, out[s:e])
+        _softmax_colsum(logits, out[s:e])
     return ScoreVector(out, kind="attention")
 
 
 def h2o_scores(Q: np.ndarray, K: np.ndarray, cfg: AttnScoreConfig = AttnScoreConfig()) -> ScoreVector:
     """Causal attention accumulated over all queries (query rows blocked to bound memory)."""
     Q, K = _check_pair(Q, K)
-    n = Q.shape[0]
-    scale = _scale(cfg, Q.shape[1])
-    out = np.zeros(n)
-    for s in range(0, n, _ROW_BLOCK):
-        e = min(s + _ROW_BLOCK, n)
-        logits = scale * (Q[s:e] @ K.T)
-        kern.causal_softmax_colsum(logits, s, out)
-    return ScoreVector(out, kind="baseline")
+    return _causal_scores(Q, K, cfg, 0)
 
 
 def snapkv_scores(Q: np.ndarray, K: np.ndarray, cfg: AttnScoreConfig = AttnScoreConfig()) -> ScoreVector:
@@ -117,14 +140,7 @@ def snapkv_scores(Q: np.ndarray, K: np.ndarray, cfg: AttnScoreConfig = AttnScore
     w = cfg.baseline_window
     if w > n:
         raise ParameterError(f"baseline_window {w} exceeds sequence length {n}")
-    scale = _scale(cfg, Q.shape[1])
-    out = np.zeros(n)
-    start = n - w
-    for s in range(start, n, _ROW_BLOCK):
-        e = min(s + _ROW_BLOCK, n)
-        logits = scale * (Q[s:e] @ K.T)
-        kern.causal_softmax_colsum(logits, s, out)
-    return ScoreVector(out, kind="baseline")
+    return _causal_scores(Q, K, cfg, n - w)
 
 
 def mean_pool(scores: ScoreVector, window: int) -> ScoreVector:

@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 
-from .. import _kernels as kern
 from ..errors import ParameterError
 from ..evict import EvictionPolicy, child_seed, head_scores, random_eviction, select_topk
 from ..leverage import BasisMethod
@@ -32,13 +31,11 @@ def bench_scaling(
     d: int = 64,
     seed: int = 0,
     method: BasisMethod = BasisMethod(),
-    backend: str | None = None,
 ) -> dict:
     """Median scoring+selection time per context length, plus the log-log slope.
 
     Returns ``{"rows": [...], "loglog_slope": float}`` with one row per
-    requested N. ``backend`` forces a kernel backend for the run and
-    restores the previous one afterwards.
+    requested N.
     """
     n_list = list(n_list)
     if len(n_list) < 1 or any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -47,34 +44,20 @@ def bench_scaling(
         raise ParameterError("need repeats >= 1 and warmup >= 0")
     r = policy.retention if isinstance(policy.retention, float) else policy.retention[0]
 
-    previous = kern.backend()
-    if backend is not None:
-        kern.set_backend(backend)
-    try:
-        rows = []
-        for n in n_list:
-            kpre, keys, values, queries = _bench_inputs(n, d, child_seed(seed, n))
-            times = []
-            for _ in range(warmup + repeats):
-                t0 = time.perf_counter()
-                if policy.kind == "random":
-                    random_eviction(n, r, child_seed(policy.seed, 0, 0))
-                else:
-                    s = head_scores(policy, kpre, keys, values, queries, 0, 0, method)
-                    select_topk(s, r)
-                times.append(time.perf_counter() - t0)
-            med = float(np.median(times[warmup:]))
-            rows.append(
-                {
-                    "n": n,
-                    "policy": policy.kind,
-                    "median_s": med,
-                    "repeats": repeats,
-                    "backend": kern.backend(),
-                }
-            )
-    finally:
-        kern.set_backend(previous)
+    rows = []
+    for n in n_list:
+        kpre, keys, values, queries = _bench_inputs(n, d, child_seed(seed, n))
+        times = []
+        for _ in range(warmup + repeats):
+            t0 = time.perf_counter()
+            if policy.kind == "random":
+                random_eviction(n, r, child_seed(policy.seed, 0, 0))
+            else:
+                s = head_scores(policy, kpre, keys, values, queries, 0, 0, method)
+                select_topk(s, r)
+            times.append(time.perf_counter() - t0)
+        med = float(np.median(times[warmup:]))
+        rows.append({"n": n, "policy": policy.kind, "median_s": med, "repeats": repeats})
 
     slope = float("nan")
     if len(rows) >= 2:

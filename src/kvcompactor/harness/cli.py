@@ -202,25 +202,9 @@ def _cmd_verify_thm2(args):
 
 def _cmd_bench(args):
     policy = _load_policy(args.policy)
-    backends = None
-    if args.backend == "both":
-        from .. import _kernels as kern
-
-        backends = kern.available_backends()
-    rows = []
-    for backend in backends or [None if args.backend == "auto" else args.backend]:
-        result = bench_scaling(
-            policy,
-            args.ns,
-            repeats=args.repeats,
-            warmup=args.warmup,
-            d=args.d,
-            seed=args.seed,
-            backend=backend,
-        )
-        rows.extend(result["rows"])
-        print(f"backend={result['rows'][0]['backend']} loglog_slope={result['loglog_slope']:.3f}")
-    report.write_csv(args.out, rows, ["n", "policy", "median_s", "repeats", "backend", "loglog_slope"])
+    result = bench_scaling(policy, args.ns, repeats=args.repeats, warmup=args.warmup, d=args.d, seed=args.seed)
+    print(f"loglog_slope={result['loglog_slope']:.3f}")
+    report.write_csv(args.out, result["rows"], ["n", "policy", "median_s", "repeats", "loglog_slope"])
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -318,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "warmup", type=int, default=2)
     _add(p, "d", type=int, default=64)
     _add(p, "seed", type=int, default=0)
-    _add(p, "backend", choices=["auto", "python", "compiled", "both"], default="auto")
     _add(p, "out", required=True)
     p.set_defaults(func=_cmd_bench)
 

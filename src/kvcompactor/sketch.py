@@ -3,8 +3,9 @@
 A sketch shrinks the column dimension of a key matrix, K -> K @ Phi with
 Phi of shape (d, k), while approximately preserving row geometry. Two kinds
 are provided: dense Gaussian (entries N(0, 1/k)) and the subsampled
-randomized Hadamard transform, applied via the fast Walsh-Hadamard
-transform without materializing the Hadamard matrix.
+randomized Hadamard transform (SRHT). Both are built as an explicit (d, k)
+matrix and applied as one GEMM; at head_dim scale the SRHT's Hadamard
+factor is a small matrix, so no fast transform is needed.
 
 All draws come from a counter-based generator (Philox), so equal
 (input, spec) pairs give bitwise-equal outputs regardless of thread
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels as kern
 from .errors import ParameterError
 
 SKETCH_KINDS = ("gaussian", "srht", "none")
@@ -70,7 +70,7 @@ def gaussian_sketch(d: int, spec: SketchSpec) -> np.ndarray:
 def srht_components(d: int, spec: SketchSpec):
     """The seeded Rademacher signs (length d_pad) and selected columns of an SRHT.
 
-    Exposed so the fast path can be checked against an explicitly
+    Exposed so srht_sketch can be checked against an explicitly
     materialized transform.
     """
     if spec.kind != "srht":
@@ -84,33 +84,43 @@ def srht_components(d: int, spec: SketchSpec):
     return signs, cols
 
 
-def srht_apply(K: np.ndarray, spec: SketchSpec) -> np.ndarray:
-    """Apply the SRHT right sketch: K @ (D H R^T) * sqrt(d_pad / k).
+def _parity(x: np.ndarray) -> np.ndarray:
+    """1 where a non-negative integer has an odd number of set bits, else 0."""
+    p = np.zeros_like(x)
+    while x.any():
+        p ^= x & 1
+        x = x >> 1
+    return p
 
-    K is zero-padded to d_pad (next power of two) columns; the Hadamard
-    factor is applied with the fast transform in O(N d_pad log d_pad).
+
+def srht_sketch(d: int, spec: SketchSpec) -> np.ndarray:
+    """Seeded (d, k) SRHT matrix (D H)[:d, cols] * sqrt(d_pad / k).
+
+    D holds the Rademacher signs and H is the unnormalized d_pad x d_pad
+    Sylvester Hadamard matrix, H[i, j] = (-1)^popcount(i & j), so only the
+    d rows and k columns in use are built: rows past d would only multiply
+    the zero padding of K to d_pad columns.
     """
-    K = np.asarray(K)
-    if K.ndim != 2:
-        raise ParameterError("K must be 2-D")
-    n, d = K.shape
     signs, cols = srht_components(d, spec)
-    d_pad = signs.shape[0]
-    X = np.zeros((n, d_pad), dtype=np.float64)
-    X[:, :d] = K
-    X *= signs
-    kern.fwht_rows(X)
-    return X[:, cols] * math.sqrt(d_pad / spec.target_dim)
+    hadamard = 1 - 2 * _parity(np.arange(d)[:, None] & cols)
+    return signs[:d, None] * hadamard * math.sqrt(signs.shape[0] / spec.target_dim)
+
+
+_SKETCHES = {"gaussian": gaussian_sketch, "srht": srht_sketch}
 
 
 def apply_sketch(K: np.ndarray, spec: SketchSpec) -> np.ndarray:
-    """Dispatch on spec.kind; kind "none" returns K unchanged."""
+    """K @ Phi with the spec's (d, k) sketch matrix; kind "none" returns K unchanged."""
+    K = np.asarray(K)
     if spec.kind == "none":
-        return np.asarray(K)
-    if spec.kind == "gaussian":
-        K = np.asarray(K)
-        if K.ndim != 2:
-            raise ParameterError("K must be 2-D")
-        phi = gaussian_sketch(K.shape[1], spec)
-        return K @ phi
-    return srht_apply(K, spec)
+        return K
+    if K.ndim != 2:
+        raise ParameterError("K must be 2-D")
+    return K @ _SKETCHES[spec.kind](K.shape[1], spec)
+
+
+def srht_apply(K: np.ndarray, spec: SketchSpec) -> np.ndarray:
+    """Apply the SRHT right sketch: K @ srht_sketch(d, spec)."""
+    if spec.kind != "srht":
+        raise ParameterError(f"expected an srht spec, got kind={spec.kind!r}")
+    return apply_sketch(K, spec)

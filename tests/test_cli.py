@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kvcompactor
 from kvcompactor import CalibrationModel, calib_value, invert_retention
 from kvcompactor.harness.cli import main
 
@@ -185,18 +190,23 @@ class TestBenchSweepCli:
         assert [row["n"] for row in rows] == ["256", "512"]
         assert all(float(row["median_s"]) > 0 for row in rows)
 
-    def test_bench_both_backends(self, tmp_path, capsys):
-        from kvcompactor import _kernels as kern
-
+    def test_retired_backend_mirror_ignored(self, tmp_path):
+        # every flag is mirrored by KVC_<FLAG>; the mirror of the retired bench
+        # flag "backend", left set to its old value "both", must stay inert
         policy = write_policy(tmp_path / "p.json", kind="compactor", retention=0.5)
         out = tmp_path / "bench.csv"
-        code, _, _ = run(
-            capsys, "bench", "--policy", policy, "--ns", "128", "--repeats", 1, "--warmup", 0, "--d", 8,
-            "--backend", "both", "--out", out,
+        src = str(Path(kvcompactor.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env[f"KVC_{'backend'.upper()}"] = "both"
+        imported = subprocess.run([sys.executable, "-c", "import kvcompactor"], env=env, capture_output=True, text=True)
+        assert imported.returncode == 0, imported.stderr
+        bench = subprocess.run(
+            [sys.executable, "-m", "kvcompactor.harness.cli", "bench", "--policy", str(policy), "--ns", "128",
+             "--repeats", "1", "--warmup", "0", "--d", "8", "--out", str(out)],
+            env=env, capture_output=True, text=True,
         )
-        assert code == 0
-        rows = list(csv.DictReader(out.open()))
-        assert {row["backend"] for row in rows} == set(kern.available_backends())
+        assert bench.returncode == 0, bench.stderr
+        assert [row["n"] for row in csv.DictReader(out.open())] == ["128"]
 
     def test_sweep_csv(self, tmp_path, capsys, bundle_path):
         p1 = write_policy(tmp_path / "p1.json", kind="compactor")

@@ -131,15 +131,6 @@ class TestBench:
         assert all(row["median_s"] > 0 for row in result["rows"])
         assert np.isfinite(result["loglog_slope"])
 
-    def test_backend_forced_and_restored(self):
-        from kvcompactor import _kernels as kern
-
-        before = kern.backend()
-        policy = EvictionPolicy(kind="compactor", retention=0.5)
-        result = bench_scaling(policy, [128], repeats=1, warmup=0, d=8, seed=0, backend="python")
-        assert result["rows"][0]["backend"] == "python"
-        assert kern.backend() == before
-
     def test_random_policy(self):
         result = bench_scaling(EvictionPolicy(kind="random", retention=0.3), [64, 128], repeats=1, warmup=0, d=4)
         assert all(row["median_s"] > 0 for row in result["rows"])

@@ -3,7 +3,7 @@ import pytest
 
 from kvcompactor import SketchSpec, apply_sketch, gaussian_sketch, srht_apply
 from kvcompactor.errors import ParameterError
-from kvcompactor.sketch import next_pow2, srht_components
+from kvcompactor.sketch import next_pow2, srht_components, srht_sketch
 
 
 def sylvester_hadamard(n):
@@ -50,12 +50,13 @@ class TestSrht:
 
     def test_matches_materialized_transform(self):
         rng = np.random.default_rng(0)
-        for d, k, seed in [(64, 16, 0), (48, 32, 1), (5, 8, 2), (1, 1, 3)]:
+        for d, k, seed in [(64, 16, 0), (48, 32, 1), (5, 8, 2), (1, 1, 3), (128, 64, 4), (100, 128, 5)]:
             K = rng.standard_normal((9, d))
             spec = SketchSpec("srht", k, seed=seed)
             signs, cols = srht_components(d, spec)
             d_pad = signs.shape[0]
             phi = (np.diag(signs) @ sylvester_hadamard(d_pad))[:, cols] * np.sqrt(d_pad / k)
+            assert np.array_equal(srht_sketch(d, spec), phi[:d])
             padded = np.zeros((9, d_pad))
             padded[:, :d] = K
             assert np.allclose(srht_apply(K, spec), padded @ phi, atol=1e-10)
