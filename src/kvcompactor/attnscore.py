@@ -79,22 +79,18 @@ def _scale(cfg: AttnScoreConfig, d: int) -> float:
 
 
 def _softmax_colsum(logits, out):
-    """Accumulate the column sums of the row-softmax of ``logits`` into ``out``."""
-    p = logits - logits.max(axis=1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=1, keepdims=True)
-    out += p.sum(axis=0)
+    """Accumulate the column sums of the row-softmax of ``logits`` into ``out``; overwrites ``logits``."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    out += logits.sum(axis=0)
 
 
 def _causal_softmax_colsum(logits, start, out):
     """Masked variant of _softmax_colsum: row i only sees columns <= start + i."""
     m, n = logits.shape
     visible = np.arange(n)[None, :] <= (start + np.arange(m))[:, None]
-    p = np.where(visible, logits, -np.inf)
-    p -= p.max(axis=1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=1, keepdims=True)
-    out += p.sum(axis=0)
+    _softmax_colsum(np.where(visible, logits, -np.inf), out)
 
 
 def _causal_scores(Q, K, cfg: AttnScoreConfig, start: int) -> ScoreVector:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .attnscore import AttnScoreConfig, h2o_scores, mean_pool, noncausal_scores, snapkv_scores, value_norm_scale
 from .errors import DataError, ParameterError
-from .kvstore import KVBundle, RetentionPlan, ScoreVector, retained_count
+from .kvstore import HeadTensors, KVBundle, RetentionPlan, ScoreVector, retained_count
 from .leverage import BasisMethod, approx_leverage
 from .sketch import SketchSpec, next_pow2
 
@@ -189,6 +189,17 @@ def head_scores(
     return a
 
 
+def _head_indices(policy: EvictionPolicy, ht: HeadTensors, layer: int, head: int, r: float, method: BasisMethod):
+    """Sorted retained indices of one head: seeded sample, top-k, or snapkv's top-k plus its window."""
+    n = ht.keys.shape[0]
+    if policy.kind == "random":
+        return random_eviction(n, r, child_seed(policy.seed, layer, head))
+    s = head_scores(policy, ht.keys_prerope, ht.keys, ht.values, ht.queries, layer, head, method)
+    if policy.kind == "snapkv" and policy.attn.snap_keep_window:
+        return _topk_with_window(s, r, min(policy.attn.baseline_window, n))
+    return select_topk(s, r)
+
+
 def compress_bundle(bundle: KVBundle, policy: EvictionPolicy, method: BasisMethod = BasisMethod()) -> RetentionPlan:
     """Score and select every (layer, head) independently; assemble the plan.
 
@@ -207,26 +218,13 @@ def compress_bundle(bundle: KVBundle, policy: EvictionPolicy, method: BasisMetho
     if policy.kind in ("compactor", "leverage_only") and not bundle.has_prerope:
         raise DataError(f"{policy.kind} policy needs pre-rope keys in the bundle")
 
-    layers = []
-    for l in range(n_layers):
-        heads = []
-        for h in range(n_heads):
-            ht = bundle.head(l, h)
-            n = ht.keys.shape[0]
-            if policy.kind == "random":
-                idx = random_eviction(n, rs[l], child_seed(policy.seed, l, h))
-            else:
-                s = head_scores(policy, ht.keys_prerope, ht.keys, ht.values, ht.queries, l, h, method)
-                if policy.kind == "snapkv" and policy.attn.snap_keep_window:
-                    idx = _topk_with_window(s, rs[l], min(policy.attn.baseline_window, n))
-                else:
-                    idx = select_topk(s, rs[l])
-            heads.append(tuple(int(i) for i in idx))
-        layers.append(tuple(heads))
-
+    layers = [
+        [_head_indices(policy, bundle.head(l, h), l, h, rs[l], method).tolist() for h in range(n_heads)]
+        for l in range(n_layers)
+    ]
     sketch_meta = _effective_sketch(policy.sketch, bundle.head_dim, 0, 0)
     return RetentionPlan(
-        retained=tuple(layers),
+        retained=layers,
         retention_target=policy.retention,
         policy_name=policy.kind,
         seed=policy.seed,

@@ -11,7 +11,8 @@ import time
 import numpy as np
 
 from ..errors import ParameterError
-from ..evict import EvictionPolicy, child_seed, head_scores, random_eviction, select_topk
+from ..evict import EvictionPolicy, _head_indices, child_seed
+from ..kvstore import HeadTensors
 from ..leverage import BasisMethod
 
 
@@ -20,7 +21,7 @@ def _bench_inputs(n: int, d: int, seed: int):
     kpre = rng.standard_normal((n, d)).astype(np.float32)
     q = rng.standard_normal((n, d)).astype(np.float32)
     v = rng.standard_normal((n, d)).astype(np.float32)
-    return kpre, kpre, v, q
+    return HeadTensors(keys=kpre, values=v, keys_prerope=kpre, queries=q)
 
 
 def bench_scaling(
@@ -46,15 +47,11 @@ def bench_scaling(
 
     rows = []
     for n in n_list:
-        kpre, keys, values, queries = _bench_inputs(n, d, child_seed(seed, n))
+        ht = _bench_inputs(n, d, child_seed(seed, n))
         times = []
         for _ in range(warmup + repeats):
             t0 = time.perf_counter()
-            if policy.kind == "random":
-                random_eviction(n, r, child_seed(policy.seed, 0, 0))
-            else:
-                s = head_scores(policy, kpre, keys, values, queries, 0, 0, method)
-                select_topk(s, r)
+            _head_indices(policy, ht, 0, 0, r, method)
             times.append(time.perf_counter() - t0)
         med = float(np.median(times[warmup:]))
         rows.append({"n": n, "policy": policy.kind, "median_s": med, "repeats": repeats})

@@ -62,6 +62,8 @@ def _load_policy(path) -> EvictionPolicy:
         return EvictionPolicy.from_json_dict(doc)
     except KeyError as exc:
         raise CompactorError(f"{path}: missing policy key {exc}") from exc
+    except TypeError as exc:
+        raise CompactorError(f"{path}: malformed policy ({exc})") from exc
 
 
 def _cmd_synth(args):

@@ -25,9 +25,10 @@ queries stacked row-wise) before writing the bundle.
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Mapping, Optional, Union
 
 import numpy as np
 
@@ -222,51 +223,70 @@ def save_bundle(bundle: KVBundle, path) -> None:
                 ht = bundle.head(l, h)
                 for mat in (ht.keys_prerope, ht.keys, ht.values, ht.queries):
                     if mat is not None:
-                        fh.write(mat.tobytes())
+                        fh.write(mat)
 
 
 def load_bundle(path) -> KVBundle:
-    """Read and fully validate a KVT1 bundle file."""
+    """Read and fully validate a KVT1 bundle file (a regular file, not a pipe).
+
+    The declared payload size is checked against the file before anything is
+    allocated; the payload is read once into an owned float32 array, whose
+    views are the bundle's matrices, and KVBundle's constructor is the one
+    finiteness check. Not a memmap: later writes to the file must not reach
+    a bundle that was already validated.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 4 or raw[:4] != _MAGIC:
-        raise FormatError(f"{path}: bad magic bytes")
-    if len(raw) < _HEADER.size:
-        raise TruncationError(f"{path}: header truncated")
-    _, n_layers, n_heads, seq_len, head_dim, flags = _HEADER.unpack_from(raw)
-    if min(n_layers, n_heads, seq_len, head_dim) < 1:
-        raise FormatError(f"{path}: header declares a zero dimension")
-    if flags & ~(_FLAG_QUERIES | _FLAG_PREROPE):
-        raise FormatError(f"{path}: unknown flag bits 0x{flags:02x}")
-    has_q = bool(flags & _FLAG_QUERIES)
-    has_pre = bool(flags & _FLAG_PREROPE)
-    n_tensors = 2 + has_q + has_pre
-    expected = n_layers * n_heads * n_tensors * seq_len * head_dim * 4
-    payload = raw[_HEADER.size :]
-    if len(payload) != expected:
-        raise TruncationError(f"{path}: payload is {len(payload)} bytes, header declares {expected}")
-    data = np.frombuffer(payload, dtype="<f4").reshape(n_layers, n_heads, n_tensors, seq_len, head_dim)
-    if not np.isfinite(data).all():
-        raise DataError(f"{path}: payload contains non-finite values")
+        header = fh.read(_HEADER.size)
+        if len(header) < 4 or header[:4] != _MAGIC:
+            raise FormatError(f"{path}: bad magic bytes")
+        if len(header) < _HEADER.size:
+            raise TruncationError(f"{path}: header truncated")
+        _, n_layers, n_heads, seq_len, head_dim, flags = _HEADER.unpack(header)
+        if min(n_layers, n_heads, seq_len, head_dim) < 1:
+            raise FormatError(f"{path}: header declares a zero dimension")
+        if flags & ~(_FLAG_QUERIES | _FLAG_PREROPE):
+            raise FormatError(f"{path}: unknown flag bits 0x{flags:02x}")
+        has_q = bool(flags & _FLAG_QUERIES)
+        has_pre = bool(flags & _FLAG_PREROPE)
+        n_tensors = 2 + has_q + has_pre
+        expected = n_layers * n_heads * n_tensors * seq_len * head_dim * 4
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size == expected:
+            data = np.empty((n_layers, n_heads, n_tensors, seq_len, head_dim), dtype="<f4")
+            size = fh.readinto(data)
+        if size != expected:
+            raise TruncationError(f"{path}: payload is {size} bytes, header declares {expected}")
     t = 0
     prerope = data[:, :, t] if has_pre else None
     t += has_pre
     keys = data[:, :, t]
     values = data[:, :, t + 1]
     queries = data[:, :, t + 2] if has_q else None
-    return KVBundle(keys=keys, values=values, keys_prerope=prerope, queries=queries)
+    try:
+        return KVBundle(keys=keys, values=values, keys_prerope=prerope, queries=queries)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
-def _check_indices(idx: Sequence[int], where: str):
-    if len(idx) < 1:
+def _index_tuple(head, where: str) -> tuple:
+    """One plan head's indices as a tuple of ints, checked in one vectorized pass."""
+    kinds = set(map(type, head))
+    if not kinds:
         raise DataError(f"{where}: empty retained list (at least 1 token is kept per head)")
-    prev = -1
-    for v in idx:
-        if v < 0:
-            raise DataError(f"{where}: negative index {v}")
-        if v <= prev:
-            raise DataError(f"{where}: indices must be strictly increasing, got {v} after {prev}")
-        prev = v
+    bad = sorted(t.__name__ for t in kinds if issubclass(t, (bool, np.bool_)) or not issubclass(t, (int, np.integer)))
+    if bad:
+        raise DataError(f"{where}: retained indices must be integers, got {', '.join(bad)}")
+    try:
+        idx = np.asarray(head, dtype=np.int64)
+    except OverflowError as exc:
+        raise DataError(f"{where}: retained index beyond int64 ({exc})") from exc
+    steps = np.flatnonzero(np.diff(idx) <= 0)
+    if steps.size:
+        i = steps[0]
+        raise DataError(f"{where}: indices must be strictly increasing, got {idx[i + 1]} after {idx[i]}")
+    if idx[0] < 0:
+        raise DataError(f"{where}: negative index {idx[0]}")
+    return tuple(idx.tolist())
 
 
 @dataclass(frozen=True)
@@ -280,17 +300,12 @@ class RetentionPlan:
     metadata: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        def as_index(v):
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise DataError(f"retained index {v!r} is not an integer")
-            return int(v)
-
-        layers = tuple(tuple(tuple(as_index(i) for i in head) for head in layer) for layer in self.retained)
+        layers = tuple(
+            tuple(_index_tuple(head, f"layer {l} head {h}") for h, head in enumerate(layer))
+            for l, layer in enumerate(self.retained)
+        )
         if len(layers) < 1 or any(len(layer) < 1 for layer in layers):
             raise DataError("plan needs at least one layer and one head")
-        for l, layer in enumerate(layers):
-            for h, head in enumerate(layer):
-                _check_indices(head, f"layer {l} head {h}")
         targets = self.retention_target
         for r in targets if isinstance(targets, (tuple, list)) else (targets,):
             if not (isinstance(r, (int, float)) and 0.0 < float(r) <= 1.0):
@@ -345,10 +360,10 @@ def load_plan(path) -> RetentionPlan:
         raise FormatError(f"{path}: missing plan key {exc}") from exc
     if version != PLAN_VERSION:
         raise FormatError(f"{path}: unsupported plan version {version!r}")
-    if not isinstance(layers, list):
-        raise FormatError(f"{path}: layers must be a list")
-    if isinstance(target, list):
-        target = tuple(target)
+    if not isinstance(layers, list) or not all(
+        isinstance(layer, list) and all(isinstance(head, list) for head in layer) for layer in layers
+    ):
+        raise FormatError(f"{path}: layers must be a list of layers, each a list of per-head index lists")
     return RetentionPlan(
         retained=layers,
         retention_target=target,
@@ -370,21 +385,13 @@ def apply_plan(bundle: KVBundle, plan: RetentionPlan) -> KVBundle:
             f"bundle has {bundle.n_layers}x{bundle.n_kv_heads}"
         )
 
+    rows = [[np.asarray(idx) for idx in layer] for layer in plan.retained]
+    for (l, h), n in np.ndenumerate(bundle.seq_lens):
+        if rows[l][h][-1] >= n:
+            raise PlanMismatchError(f"layer {l} head {h}: index {rows[l][h][-1]} out of range for seq_len {n}")
+
     def gather(group):
-        if group is None:
-            return None
-        out = []
-        for l, layer in enumerate(group):
-            heads = []
-            for h, mat in enumerate(layer):
-                idx = plan.retained[l][h]
-                if idx[-1] >= mat.shape[0]:
-                    raise PlanMismatchError(
-                        f"layer {l} head {h}: index {idx[-1]} out of range for seq_len {mat.shape[0]}"
-                    )
-                heads.append(mat[list(idx)])
-            out.append(heads)
-        return out
+        return None if group is None else [[m[i] for m, i in zip(layer, picks)] for layer, picks in zip(group, rows)]
 
     return KVBundle(
         keys=gather(bundle.keys),

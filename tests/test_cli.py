@@ -95,6 +95,22 @@ class TestPipeline:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"attn": {"chunk": 3}},
+            {"sketch": {"kind": "gaussian", "k": "8", "seed": 0}},
+            {"lambda": "0.3"},
+            {"attn": 5},
+        ],
+        ids=["unknown_attn_key", "string_sketch_k", "string_lambda", "scalar_attn"],
+    )
+    def test_malformed_policy_is_input_error(self, tmp_path, capsys, bundle_path, override):
+        policy = write_policy(tmp_path / "p.json", **override)
+        code, _, err = run(capsys, "evict", "--bundle", bundle_path, "--policy", policy, "--out", tmp_path / "x")
+        assert code == 2
+        assert err.startswith("error:") and str(policy) in err
+
     def test_bad_magic_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.kvt"
         bad.write_bytes(b"XXXX" + b"\x00" * 64)

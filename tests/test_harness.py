@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kvcompactor import EvictionPolicy, exact_leverage
+from kvcompactor import EvictionPolicy, evict, exact_leverage
 from kvcompactor.errors import ParameterError
 from kvcompactor.harness import (
     SynthProfile,
@@ -134,6 +134,19 @@ class TestBench:
     def test_random_policy(self):
         result = bench_scaling(EvictionPolicy(kind="random", retention=0.3), [64, 128], repeats=1, warmup=0, d=4)
         assert all(row["median_s"] > 0 for row in result["rows"])
+
+    def test_snapkv_times_keep_window_selection(self, monkeypatch):
+        # kvc bench must time the same per-head selection that kvc evict runs
+        calls = []
+        original = evict._topk_with_window
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(evict, "_topk_with_window", counted)
+        bench_scaling(EvictionPolicy(kind="snapkv", retention=0.5), [64, 128], repeats=1, warmup=1, d=8)
+        assert len(calls) == 4
 
     def test_rejects_unsorted(self):
         with pytest.raises(ParameterError):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from kvcompactor import KVBundle, RetentionPlan, apply_plan, load_bundle, load_plan, retained_count, save_bundle, save_plan
 from kvcompactor.errors import DataError, FormatError, ParameterError, PlanMismatchError, TruncationError
+from kvcompactor.harness.cli import main
 
 HEADER = struct.Struct("<4sIIIIB")
 
@@ -54,12 +55,26 @@ class TestBundleFormat:
         with pytest.raises(TruncationError):
             load_bundle(path)
 
+    @pytest.mark.parametrize("stray", [1, 2, 3])
+    def test_payload_stray_trailing_bytes(self, tmp_path, stray):
+        path = tmp_path / "b.kvt"
+        path.write_bytes(raw_file() + b"\x00" * stray)
+        with pytest.raises(TruncationError):
+            load_bundle(path)
+
+    def test_huge_declared_payload_checked_before_allocation(self, tmp_path):
+        # a bare header declaring 4 x 64 x 2**20 x 1024 float32 tensors (1 PiB)
+        path = tmp_path / "b.kvt"
+        path.write_bytes(HEADER.pack(b"KVT1", 4, 64, 2**20, 1024, 0b11))
+        with pytest.raises(TruncationError):
+            load_bundle(path)
+
     def test_nonfinite_payload(self, tmp_path):
         payload = np.arange(1 * 2 * 4 * 4 * 2, dtype=np.float32)
         payload[3] = np.nan
         path = tmp_path / "b.kvt"
         path.write_bytes(raw_file(payload=payload))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="b.kvt"):
             load_bundle(path)
 
     def test_zero_dim_header(self, tmp_path):
@@ -176,6 +191,47 @@ class TestRetentionPlan:
         )
         with pytest.raises(DataError):
             load_plan(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-2, 12), st.just(2**63)), min_size=1, max_size=6))
+    def test_index_check_matches_loop_reference(self, idx):
+        # the per-element loop the vectorized check replaced, plus the int64 bound
+        valid = idx[0] >= 0 and all(b > a for a, b in zip(idx, idx[1:])) and idx[-1] < 2**63
+        if not valid:
+            with pytest.raises(DataError):
+                RetentionPlan(retained=((idx,),), retention_target=0.5, policy_name="x")
+            return
+        plan = RetentionPlan(retained=((idx,),), retention_target=0.5, policy_name="x")
+        assert plan.retained == ((tuple(idx),),)
+        assert all(type(v) is int for v in plan.retained[0][0])
+
+    @staticmethod
+    def plan_file(path, layers):
+        path.write_text(
+            '{"version": 1, "retention_target": 0.5, "policy_name": "x", "seed": null, "layers": ' + layers + "}"
+        )
+        return path
+
+    def test_bool_index_rejected(self, tmp_path):
+        with pytest.raises(DataError):
+            load_plan(self.plan_file(tmp_path / "plan.json", "[[[true]]]"))
+        with pytest.raises(DataError):
+            RetentionPlan(retained=(((0, True),),), retention_target=0.5, policy_name="x")
+
+    @pytest.mark.parametrize("layers", ["[5]", "[[5]]"])
+    def test_layers_structure_is_format_error(self, tmp_path, layers):
+        with pytest.raises(FormatError):
+            load_plan(self.plan_file(tmp_path / "plan.json", layers))
+
+    def test_index_beyond_int64(self, tmp_path, capsys):
+        plan = self.plan_file(tmp_path / "plan.json", f"[[[0, {2**70}]]]")
+        bundle = make_bundle(np.random.default_rng(8), heads=1, n=4)
+        with pytest.raises((DataError, PlanMismatchError)):
+            apply_plan(bundle, load_plan(plan))
+        save_bundle(bundle, tmp_path / "b.kvt")
+        code = main(["apply", "--bundle", str(tmp_path / "b.kvt"), "--plan", str(plan), "--out", str(tmp_path / "o.kvt")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_integer_retention_target_from_json(self, tmp_path):
         path = tmp_path / "plan.json"
