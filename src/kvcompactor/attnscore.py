@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _check_field
 from .kvstore import ScoreVector
 
 _ROW_BLOCK = 2048
@@ -44,12 +44,15 @@ class AttnScoreConfig:
     snap_keep_window: bool = True
 
     def __post_init__(self):
-        if self.chunk_size < 1:
-            raise ParameterError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.pool_window < 1 or self.pool_window % 2 == 0:
-            raise ParameterError(f"pool_window must be odd and >= 1, got {self.pool_window}")
-        if self.baseline_window < 1:
-            raise ParameterError(f"baseline_window must be >= 1, got {self.baseline_window}")
+        _check_field("chunk_size", self.chunk_size, "int", 1)
+        _check_field("pool_window", self.pool_window, "int", 1)
+        if self.pool_window % 2 == 0:
+            raise ParameterError(f"pool_window must be odd, got {self.pool_window}")
+        if self.scale is not None:
+            _check_field("scale", self.scale, "real")
+        _check_field("value_norm", self.value_norm, "bool")
+        _check_field("baseline_window", self.baseline_window, "int", 1)
+        _check_field("snap_keep_window", self.snap_keep_window, "bool")
 
     def to_json_dict(self) -> dict:
         return {

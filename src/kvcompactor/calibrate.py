@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DataError, DegenerateFitError, FormatError, ParameterError
+from .errors import ConvergenceError, DataError, DegenerateFitError, FormatError, ParameterError, _check_field
 
 _GRID_ALPHA = (-2.0, -1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0, 2.0)
 _GRID_BETA = (0.05, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
@@ -66,13 +66,17 @@ class CalibrationModel:
     n_points: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.k_min) and self.k_min > 0.0):
+        _check_field("alpha", self.alpha, "real")
+        _check_field("beta", self.beta, "real")
+        _check_field("k_min", self.k_min, "real")
+        if self.k_min <= 0.0:
             raise ParameterError(f"k_min must be positive, got {self.k_min}")
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ParameterError("alpha and beta must be finite")
+        _check_field("fit_rmse", self.fit_rmse, "real")
+        _check_field("n_points", self.n_points, "int")
 
 
 def _steepness(nll_c: float, model: CalibrationModel) -> float:
+    _check_field("nll_c", nll_c, "real", 0)
     return max(model.alpha * nll_c + model.beta, model.k_min)
 
 
@@ -246,6 +250,8 @@ def load_model(path) -> CalibrationModel:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     try:
         return CalibrationModel(
             alpha=doc["alpha"],
@@ -256,3 +262,5 @@ def load_model(path) -> CalibrationModel:
         )
     except KeyError as exc:
         raise FormatError(f"{path}: missing model key {exc}") from exc
+    except ParameterError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

@@ -13,13 +13,13 @@ smaller index. Scoring and selection run independently for every
 computed budget schedules.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
 
 from .attnscore import AttnScoreConfig, h2o_scores, mean_pool, noncausal_scores, snapkv_scores, value_norm_scale
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, _check_field
 from .kvstore import HeadTensors, KVBundle, RetentionPlan, ScoreVector, retained_count
 from .leverage import BasisMethod, approx_leverage
 from .sketch import SketchSpec, next_pow2
@@ -48,21 +48,14 @@ class EvictionPolicy:
         if self.kind not in POLICY_KINDS:
             raise ParameterError(f"unknown policy kind {self.kind!r}")
         rs = self.retention
-        if isinstance(rs, (tuple, list)):
-            rs = tuple(float(r) for r in rs)
-            object.__setattr__(self, "retention", rs)
-        else:
-            object.__setattr__(self, "retention", float(rs))
-            rs = (float(rs),)
-        for r in rs:
+        per_layer = isinstance(rs, (tuple, list))
+        for r in rs if per_layer else (rs,):
+            _check_field("retention", r, "real")
             if not 0.0 < r <= 1.0:
                 raise ParameterError(f"retention {r} outside (0, 1]")
-        if not np.isfinite(self.lam):
-            raise ParameterError("lambda must be finite")
-        if self.lam < 0:
-            raise ParameterError(f"lambda must be >= 0, got {self.lam}")
-        if self.seed < 0:
-            raise ParameterError("policy seed must be a non-negative integer")
+        object.__setattr__(self, "retention", tuple(float(r) for r in rs) if per_layer else float(rs))
+        _check_field("lambda", self.lam, "real", 0)
+        _check_field("policy seed", self.seed, "int", 0)
 
     def to_json_dict(self) -> dict:
         r = self.retention
@@ -150,7 +143,6 @@ def head_scores(
     queries: Optional[np.ndarray],
     layer: int = 0,
     head: int = 0,
-    method: BasisMethod = BasisMethod(),
 ) -> ScoreVector:
     """Final score vector for one head under `policy`.
 
@@ -167,7 +159,7 @@ def head_scores(
         if keys_prerope is None:
             raise DataError(f"{kind} policy needs pre-rope keys")
         spec = _effective_sketch(policy.sketch, keys_prerope.shape[1], layer, head)
-        o = approx_leverage(keys_prerope, spec, method).scores
+        o = approx_leverage(keys_prerope, spec).scores
         if kind == "leverage_only":
             return o
 
@@ -189,21 +181,23 @@ def head_scores(
     return a
 
 
-def _head_indices(policy: EvictionPolicy, ht: HeadTensors, layer: int, head: int, r: float, method: BasisMethod):
+def _head_indices(policy: EvictionPolicy, ht: HeadTensors, layer: int, head: int, r: float):
     """Sorted retained indices of one head: seeded sample, top-k, or snapkv's top-k plus its window."""
     n = ht.keys.shape[0]
     if policy.kind == "random":
         return random_eviction(n, r, child_seed(policy.seed, layer, head))
-    s = head_scores(policy, ht.keys_prerope, ht.keys, ht.values, ht.queries, layer, head, method)
+    s = head_scores(policy, ht.keys_prerope, ht.keys, ht.values, ht.queries, layer, head)
     if policy.kind == "snapkv" and policy.attn.snap_keep_window:
         return _topk_with_window(s, r, min(policy.attn.baseline_window, n))
     return select_topk(s, r)
 
 
-def compress_bundle(bundle: KVBundle, policy: EvictionPolicy, method: BasisMethod = BasisMethod()) -> RetentionPlan:
+def compress_bundle(bundle: KVBundle, policy: EvictionPolicy) -> RetentionPlan:
     """Score and select every (layer, head) independently; assemble the plan.
 
-    A pure function of (bundle, policy, method) including all seeds.
+    A pure function of (bundle, policy), including all seeds, so the plan's
+    ``metadata["policy"]`` alone reproduces it. A policy that needs queries
+    or pre-rope keys the bundle lacks raises DataError from its first head.
     """
     n_layers, n_heads = bundle.n_layers, bundle.n_kv_heads
     rs = policy.retention
@@ -213,13 +207,8 @@ def compress_bundle(bundle: KVBundle, policy: EvictionPolicy, method: BasisMetho
     else:
         rs = (rs,) * n_layers
 
-    if policy.kind in ("compactor", "snapkv", "h2o") and not bundle.has_queries:
-        raise DataError(f"{policy.kind} policy needs queries in the bundle")
-    if policy.kind in ("compactor", "leverage_only") and not bundle.has_prerope:
-        raise DataError(f"{policy.kind} policy needs pre-rope keys in the bundle")
-
     layers = [
-        [_head_indices(policy, bundle.head(l, h), l, h, rs[l], method).tolist() for h in range(n_heads)]
+        [_head_indices(policy, bundle.head(l, h), l, h, rs[l]).tolist() for h in range(n_heads)]
         for l in range(n_layers)
     ]
     sketch_meta = _effective_sketch(policy.sketch, bundle.head_dim, 0, 0)
@@ -231,15 +220,10 @@ def compress_bundle(bundle: KVBundle, policy: EvictionPolicy, method: BasisMetho
         metadata={
             "policy": policy.to_json_dict(),
             "effective_sketch_k": sketch_meta.target_dim,
-            "basis": {"kind": method.kind, "sigma_clamp": method.sigma_clamp},
+            "basis": asdict(BasisMethod()),
             "n_layers": n_layers,
             "n_kv_heads": n_heads,
             "head_dim": bundle.head_dim,
             "seq_lens": bundle.seq_lens.tolist(),
         },
     )
-
-
-def with_retention(policy: EvictionPolicy, retention) -> EvictionPolicy:
-    """Copy of `policy` with a different retention target."""
-    return replace(policy, retention=retention)

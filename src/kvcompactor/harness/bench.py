@@ -13,7 +13,6 @@ import numpy as np
 from ..errors import ParameterError
 from ..evict import EvictionPolicy, _head_indices, child_seed
 from ..kvstore import HeadTensors
-from ..leverage import BasisMethod
 
 
 def _bench_inputs(n: int, d: int, seed: int):
@@ -31,7 +30,6 @@ def bench_scaling(
     warmup: int = 2,
     d: int = 64,
     seed: int = 0,
-    method: BasisMethod = BasisMethod(),
 ) -> dict:
     """Median scoring+selection time per context length, plus the log-log slope.
 
@@ -51,7 +49,7 @@ def bench_scaling(
         times = []
         for _ in range(warmup + repeats):
             t0 = time.perf_counter()
-            _head_indices(policy, ht, 0, 0, r, method)
+            _head_indices(policy, ht, 0, 0, r)
             times.append(time.perf_counter() - t0)
         med = float(np.median(times[warmup:]))
         rows.append({"n": n, "policy": policy.kind, "median_s": med, "repeats": repeats})

@@ -14,12 +14,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .. import calibrate
-from ..errors import CompactorError
-from ..evict import EvictionPolicy, compress_bundle, head_scores, with_retention
+from ..errors import CompactorError, DataError, ParameterError
+from ..evict import EvictionPolicy, compress_bundle, head_scores
 from ..kvstore import apply_plan, load_bundle, load_plan, save_bundle, save_plan
-from ..leverage import BasisMethod
 from . import report
 from .bench import bench_scaling
 from .sweep import sweep_policies
@@ -62,7 +62,7 @@ def _load_policy(path) -> EvictionPolicy:
         return EvictionPolicy.from_json_dict(doc)
     except KeyError as exc:
         raise CompactorError(f"{path}: missing policy key {exc}") from exc
-    except TypeError as exc:
+    except (TypeError, ParameterError) as exc:
         raise CompactorError(f"{path}: malformed policy ({exc})") from exc
 
 
@@ -88,12 +88,11 @@ def _cmd_synth(args):
 def _cmd_score(args):
     bundle = load_bundle(args.bundle)
     policy = _load_policy(args.policy)
-    method = BasisMethod(kind=args.basis)
     rows = []
     for l in range(bundle.n_layers):
         for h in range(bundle.n_kv_heads):
             ht = bundle.head(l, h)
-            s = head_scores(policy, ht.keys_prerope, ht.keys, ht.values, ht.queries, l, h, method)
+            s = head_scores(policy, ht.keys_prerope, ht.keys, ht.values, ht.queries, l, h)
             rows.extend(
                 {"layer": l, "head": h, "index": i, "score": float(v)} for i, v in enumerate(s.scores)
             )
@@ -106,8 +105,8 @@ def _cmd_evict(args):
     bundle = load_bundle(args.bundle)
     policy = _load_policy(args.policy)
     if args.retention is not None:
-        policy = with_retention(policy, float(args.retention))
-    plan = compress_bundle(bundle, policy, BasisMethod(kind=args.basis))
+        policy = replace(policy, retention=float(args.retention))
+    plan = compress_bundle(bundle, policy)
     save_plan(plan, args.out)
     kept = sum(len(head) for layer in plan.retained for head in layer)
     print(f"wrote {args.out}: retained {kept} of {int(bundle.seq_lens.sum())} tokens")
@@ -144,11 +143,14 @@ def _cmd_calib_plan(args):
             header = fh.readline().strip().split(",")
             if header[:1] != ["nll_c"]:
                 raise CompactorError(f"{args.queries}: expected header nll_c")
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 line = line.strip()
                 if line:
-                    nll = float(line.split(",")[0])
-                    rows.append({"nll_c": nll, "r_star": calibrate.invert_retention(nll, args.tau, model)})
+                    try:
+                        nll = float(line.split(",")[0])
+                        rows.append({"nll_c": nll, "r_star": calibrate.invert_retention(nll, args.tau, model)})
+                    except ValueError as exc:
+                        raise DataError(f"{args.queries}: line {lineno}: {exc}") from exc
         report.write_csv(args.out, rows, ["nll_c", "r_star"])
         print(f"wrote {args.out}: {len(rows)} retention rates")
         return EXIT_OK
@@ -214,7 +216,7 @@ def _cmd_bench(args):
 def _cmd_sweep(args):
     bundle = load_bundle(args.bundle)
     policies = [_load_policy(p) for p in str(args.policies).split(",") if p]
-    rows = sweep_policies(bundle, policies, args.rs, BasisMethod(kind=args.basis))
+    rows = sweep_policies(bundle, policies, args.rs)
     report.write_csv(args.out, rows)
     print(f"wrote {args.out}: {len(rows)} rows")
     return EXIT_OK
@@ -240,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="per-token scores for a bundle under a policy")
     _add(p, "bundle", required=True)
     _add(p, "policy", required=True)
-    _add(p, "basis", choices=["svd_gram", "qr", "eig_gram"], default="svd_gram")
     _add(p, "out", required=True)
     p.set_defaults(func=_cmd_score)
 
@@ -248,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "bundle", required=True)
     _add(p, "policy", required=True)
     _add(p, "retention", type=float, default=None)
-    _add(p, "basis", choices=["svd_gram", "qr", "eig_gram"], default="svd_gram")
     _add(p, "out", required=True)
     p.set_defaults(func=_cmd_evict)
 
@@ -311,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "bundle", required=True)
     _add(p, "policies", required=True, help="comma-separated policy JSON paths")
     _add(p, "rs", type=_floats, required=True)
-    _add(p, "basis", choices=["svd_gram", "qr", "eig_gram"], default="svd_gram")
     _add(p, "out", required=True)
     p.set_defaults(func=_cmd_sweep)
 

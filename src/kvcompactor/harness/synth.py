@@ -77,12 +77,12 @@ def _keys_for(profile: SynthProfile, rng: np.random.Generator) -> np.ndarray:
     # needle: base rows live in a (d - m)-dim subspace, needles span the
     # orthogonal complement, so any base noise never bleeds into them
     m = profile.needle_count
-    basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    ortho, _ = np.linalg.qr(rng.standard_normal((d, d)))
     coeff = rng.standard_normal((n - m, d - m))
     if profile.noise_sigma > 0:
         coeff += profile.noise_sigma * rng.standard_normal((n - m, d - m))
-    base = coeff @ basis[:, : d - m].T
-    needles = basis[:, d - m :].T * np.sqrt(d - m)
+    base = coeff @ ortho[:, : d - m].T
+    needles = ortho[:, d - m :].T * np.sqrt(d - m)
     keys = np.empty((n, d))
     pos = planted_needles(profile)
     mask = np.ones(n, dtype=bool)

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..evict import child_seed
-from ..leverage import BasisMethod, approx_leverage, exact_leverage
+from ..leverage import approx_leverage, exact_leverage
 from ..sketch import SketchSpec
 
 _PSD_TOL = 1e-9
@@ -122,7 +122,6 @@ def verify_thm2(
     kappa: float,
     seed: int = 0,
     target_epsilon: float | None = None,
-    method: BasisMethod = BasisMethod(),
 ) -> dict:
     """Per-trial tightest distortion of approximate vs exact leverage scores."""
     if k < 1 or trials < 1:
@@ -132,9 +131,9 @@ def verify_thm2(
     for t in range(trials):
         rng = np.random.Generator(np.random.Philox(child_seed(seed, t)))
         K = conditioned_matrix(N, d, kappa, rng)
-        ell = exact_leverage(K, method).scores.scores
+        ell = exact_leverage(K).scores.scores
         spec = SketchSpec(kind="gaussian", target_dim=k, seed=child_seed(seed, t, 1))
-        ell_approx = approx_leverage(K, spec, method).scores.scores
+        ell_approx = approx_leverage(K, spec).scores.scores
         eps = tightest_epsilon(ell, ell_approx, kappa)
         eps_values.append(eps)
         if target_epsilon is not None and eps <= target_epsilon:

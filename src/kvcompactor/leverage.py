@@ -8,10 +8,12 @@ U = K V Sigma^-1), which turns the computation into one small SVD plus two
 GEMMs. Approximate scores right-sketch K first and run the same recovery on
 the N x k sketch.
 
-Three basis subroutines are provided: the Gram-SVD route above (default),
-reduced QR, and Gram eigendecomposition. All three share one robustness
-policy: singular values are clamped at a relative floor so rank-deficient
-inputs degrade gracefully instead of failing.
+Three basis subroutines are provided: the Gram-SVD route above, which is
+the default and the only one the eviction pipeline uses, plus reduced QR
+and Gram eigendecomposition, kept as cross-checks of it (acceptance
+criterion C06). All three share one robustness policy: singular values are
+clamped at a relative floor so rank-deficient inputs degrade gracefully
+instead of failing.
 
 Scores are computed on pre-position-embedding keys when driven from a
 bundle; position embedding rotates keys and distorts the spectrum the
@@ -45,12 +47,10 @@ class BasisMethod:
 
 @dataclass(frozen=True)
 class LeverageResult:
-    """Outlier scores plus the provenance needed to reproduce them."""
+    """Outlier scores and the count of non-clamped basis directions."""
 
     scores: ScoreVector
     effective_rank: int
-    method: BasisMethod
-    sketch: SketchSpec
 
 
 def _basis_and_rank(khat: np.ndarray, method: BasisMethod):
@@ -117,12 +117,7 @@ def approx_leverage(
     khat = apply_sketch(K, sketch)
     u, rank = _basis_and_rank(khat, method)
     ell = np.einsum("ij,ij->i", u, u)
-    return LeverageResult(
-        scores=ScoreVector(ell, kind="outlier"),
-        effective_rank=rank,
-        method=method,
-        sketch=sketch,
-    )
+    return LeverageResult(scores=ScoreVector(ell, kind="outlier"), effective_rank=rank)
 
 
 def exact_leverage(K: np.ndarray, method: BasisMethod = BasisMethod()) -> LeverageResult:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _check_field
 
 SKETCH_KINDS = ("gaussian", "srht", "none")
 
@@ -33,10 +33,8 @@ class SketchSpec:
     def __post_init__(self):
         if self.kind not in SKETCH_KINDS:
             raise ParameterError(f"unknown sketch kind {self.kind!r}")
-        if self.target_dim < 1:
-            raise ParameterError(f"target_dim must be >= 1, got {self.target_dim}")
-        if self.seed < 0:
-            raise ParameterError("sketch seed must be a non-negative integer")
+        _check_field("target_dim", self.target_dim, "int", 1)
+        _check_field("sketch seed", self.seed, "int", 0)
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "k": self.target_dim, "seed": self.seed}

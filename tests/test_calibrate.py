@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from kvcompactor import CalibTriple, CalibrationModel, calib_value, fit_calibration, invert_retention, load_triples
 from kvcompactor.calibrate import load_model, save_model
-from kvcompactor.errors import DataError, DegenerateFitError, FormatError, ParameterError
+from kvcompactor.errors import ConvergenceError, DataError, DegenerateFitError, FormatError, ParameterError
 
 
 def bisect_inverse(nll, tau, model, iters=60):
@@ -103,6 +103,15 @@ class TestInvert:
         with pytest.raises(ParameterError):
             invert_retention(1.0, 0.0, CalibrationModel(alpha=0.0, beta=1.0))
 
+    @pytest.mark.parametrize("nll", [math.nan, math.inf, -math.inf, -0.5])
+    def test_nll_outside_domain(self, nll):
+        # the domain CalibTriple enforces on its nll_c
+        model = CalibrationModel(alpha=0.2, beta=1.0)
+        with pytest.raises(ParameterError):
+            invert_retention(nll, 0.95, model)
+        with pytest.raises(ParameterError):
+            calib_value(0.5, nll, model)
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.floats(-3, 3),
@@ -160,6 +169,16 @@ class TestFit:
         sym = fit_calibration(triples, under_penalty=1.0)
         asym = fit_calibration(triples, under_penalty=4.0)
         assert mean_residual(asym) <= mean_residual(sym) + 1e-12
+
+    def test_iteration_budget_exhausted(self):
+        triples = curve_triples(0.2, 1.0, np.linspace(0.05, 1.0, 20), (1.0, 2.0, 3.0), noise=0.02, seed=0)
+        with pytest.raises(ConvergenceError) as info:
+            fit_calibration(triples, max_iter=1)
+        model = info.value.model
+        assert isinstance(model, CalibrationModel)
+        assert all(math.isfinite(v) for v in (model.alpha, model.beta, model.fit_rmse))
+        assert model.n_points == len(triples)
+        assert model.k_min == 1e-3
 
     def test_bad_penalty(self):
         with pytest.raises(ParameterError):

@@ -111,6 +111,57 @@ class TestPipeline:
         assert code == 2
         assert err.startswith("error:") and str(policy) in err
 
+    @pytest.mark.parametrize(
+        "command, field, value",
+        [
+            ("evict", ("sketch", "k"), 8.5),
+            ("evict", ("sketch", "seed"), 1.5),
+            ("evict", ("attn", "chunk_size"), 64.0),
+            ("evict", ("attn", "baseline_window"), 8.5),
+            ("evict", ("attn", "pool_window"), 7.0),
+            ("evict", ("attn", "value_norm"), "false"),
+            ("evict", ("attn", "snap_keep_window"), 1),
+            ("evict", ("attn", "scale"), "1"),
+            ("evict", ("retention",), "0.5"),
+            ("evict", ("retention",), True),
+            ("evict", ("retention",), [0.5, "0.5"]),
+            ("evict", ("seed",), 0.5),
+            ("evict", ("lambda",), True),
+            ("evict", ("lambda",), float("nan")),
+            ("calib", ("alpha",), "0.2"),
+            ("calib", ("beta",), True),
+            ("calib", ("n_points",), 9.5),
+            ("calib", (), [0.2, 1.0]),
+        ],
+        ids=[
+            "float_sketch_k", "float_sketch_seed", "float_chunk_size", "float_baseline_window", "float_pool_window",
+            "string_value_norm", "int_snap_keep_window", "string_scale", "string_retention", "bool_retention",
+            "string_layer_retention", "float_seed", "bool_lambda", "nan_lambda",
+            "model_string_alpha", "model_bool_beta", "model_float_n_points", "model_not_object",
+        ],
+    )
+    def test_mistyped_field_is_input_error(self, tmp_path, capsys, bundle_path, command, field, value):
+        if command == "evict":
+            path = write_policy(tmp_path / "p.json")
+            argv = ["evict", "--bundle", bundle_path, "--policy", path, "--out", tmp_path / "x"]
+        else:
+            path = tmp_path / "m.json"
+            path.write_text(json.dumps({"alpha": 0.2, "beta": 1.0, "k_min": 1e-3, "fit_rmse": 0.0, "n_points": 9}))
+            argv = ["calib", "plan", "--model", path, "--nll", 1.0]
+        doc = json.loads(path.read_text())
+        if field:
+            *outer, last = field
+            target = doc
+            for key in outer:
+                target = target[key]
+            target[last] = value
+        else:
+            doc = value
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and str(path) in err
+
     def test_bad_magic_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.kvt"
         bad.write_bytes(b"XXXX" + b"\x00" * 64)
@@ -161,6 +212,23 @@ class TestCalibCli:
         run(capsys, "calib", "fit", "--triples", triples, "--out", model_path)
         code, _, _ = run(capsys, "calib", "plan", "--model", model_path)
         assert code == 2
+
+    @pytest.mark.parametrize("nll", ["nan", "inf", "-inf", "-0.5"])
+    def test_plan_nll_outside_domain(self, tmp_path, capsys, nll):
+        triples = self.make_triples(tmp_path / "t.csv")
+        model_path = tmp_path / "m.json"
+        run(capsys, "calib", "fit", "--triples", triples, "--out", model_path)
+        code, out, err = run(capsys, "calib", "plan", "--model", model_path, f"--nll={nll}")
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
+        queries = tmp_path / "q.csv"
+        queries.write_text(f"nll_c\n0.5\n{nll}\n")
+        result = tmp_path / "r.csv"
+        code, _, err = run(capsys, "calib", "plan", "--model", model_path, "--queries", queries, "--out", result)
+        assert code == 2
+        assert f"{queries}: line 3" in err
+        assert not result.exists()
 
     def test_fit_degenerate_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "t.csv"

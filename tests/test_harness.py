@@ -190,3 +190,19 @@ class TestSweep:
         a = [{k: v for k, v in row.items() if k != "policy_index"} for row in rows[:2]]
         b = [{k: v for k, v in row.items() if k != "policy_index"} for row in rows[2:]]
         assert a == b
+
+    def test_exact_leverage_once_per_head(self, monkeypatch):
+        from kvcompactor.harness import sweep
+
+        calls = []
+
+        def counting(K, *args, **kwargs):
+            calls.append(1)
+            return exact_leverage(K, *args, **kwargs)
+
+        monkeypatch.setattr(sweep, "exact_leverage", counting)
+        bundle = synth_bundle(SynthProfile(kind="gaussian_iid", N=64, d=8, seed=4), n_layers=2, n_kv_heads=2)
+        policies = [EvictionPolicy(kind="compactor", retention=0.5), EvictionPolicy(kind="random", retention=0.5)]
+        rows = sweep_policies(bundle, policies, [0.2, 0.5, 1.0])
+        assert len(rows) == 6
+        assert len(calls) == bundle.n_layers * bundle.n_kv_heads
