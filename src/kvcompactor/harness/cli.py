@@ -88,16 +88,16 @@ def _cmd_synth(args):
 def _cmd_score(args):
     bundle = load_bundle(args.bundle)
     policy = _load_policy(args.policy)
-    rows = []
-    for l in range(bundle.n_layers):
-        for h in range(bundle.n_kv_heads):
-            ht = bundle.head(l, h)
-            s = head_scores(policy, ht.keys_prerope, ht.keys, ht.values, ht.queries, l, h)
-            rows.extend(
-                {"layer": l, "head": h, "index": i, "score": float(v)} for i, v in enumerate(s.scores)
-            )
-    report.write_csv(args.out, rows, ["layer", "head", "index", "score"])
-    print(f"wrote {args.out}: {len(rows)} scores")
+
+    def rows():
+        for l in range(bundle.n_layers):
+            for h in range(bundle.n_kv_heads):
+                ht = bundle.head(l, h)
+                s = head_scores(policy, ht.keys_prerope, ht.keys, ht.values, ht.queries, l, h)
+                yield from ({"layer": l, "head": h, "index": i, "score": float(v)} for i, v in enumerate(s.scores))
+
+    report.write_csv(args.out, rows(), ["layer", "head", "index", "score"])
+    print(f"wrote {args.out}: {int(bundle.seq_lens.sum())} scores")
     return EXIT_OK
 
 

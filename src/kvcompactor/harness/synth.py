@@ -96,7 +96,8 @@ def synth_bundle(profile: SynthProfile, n_layers: int = 1, n_kv_heads: int = 1) 
     """Deterministic bundle with per-(layer, head) keys drawn from `profile`.
 
     Synthetic keys carry no position embedding, so the pre-rope and cached
-    keys coincide; queries and values are standard Gaussian.
+    keys are the same read-only arrays; queries and values are standard
+    Gaussian. Each matrix is cast to float32 as it is drawn.
     """
     if n_layers < 1 or n_kv_heads < 1:
         raise ParameterError("n_layers and n_kv_heads must be >= 1")
@@ -105,9 +106,9 @@ def synth_bundle(profile: SynthProfile, n_layers: int = 1, n_kv_heads: int = 1) 
         k_row, v_row, q_row = [], [], []
         for h in range(n_kv_heads):
             rng = np.random.Generator(np.random.Philox(child_seed(profile.seed, l, h)))
-            k_row.append(_keys_for(profile, rng))
-            v_row.append(rng.standard_normal((profile.N, profile.d)))
-            q_row.append(rng.standard_normal((profile.N, profile.d)))
+            k_row.append(_keys_for(profile, rng).astype(np.float32))
+            v_row.append(rng.standard_normal((profile.N, profile.d)).astype(np.float32))
+            q_row.append(rng.standard_normal((profile.N, profile.d)).astype(np.float32))
         keys.append(k_row)
         values.append(v_row)
         queries.append(q_row)

@@ -9,7 +9,8 @@ KVT1 bundle file (little-endian)::
     u32      head_dim
     u8       flags     bit0: queries present, bit1: pre-rope keys present
     payload  float32, row-major, layer-major then head-major,
-             per head: [keys_prerope?, keys, values, queries?]
+             per head: the present tensors in ``_LAYOUT`` order,
+             [keys_prerope?, keys, values, queries?]
 
 Retention plan file: one JSON document::
 
@@ -38,6 +39,9 @@ _MAGIC = b"KVT1"
 _HEADER = struct.Struct("<4sIIIIB")
 _FLAG_QUERIES = 0x01
 _FLAG_PREROPE = 0x02
+# the per-head tensors in KVT1 payload order, with the flag bit that marks an
+# optional one present (0: always present); every tensor list walks this table
+_LAYOUT = (("keys_prerope", _FLAG_PREROPE), ("keys", 0), ("values", 0), ("queries", _FLAG_QUERIES))
 PLAN_VERSION = 1
 
 SCORE_KINDS = ("outlier", "attention", "blended", "baseline")
@@ -75,28 +79,28 @@ class ScoreVector:
         return self.scores.shape[0]
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=np.float32)
-    arr.flags.writeable = False
-    return arr
+_RANK_ERROR = "expected a (layers, heads, seq, dim) array or nested [layer][head] 2-D matrices"
+
+
+def _freeze(mat, name: str) -> np.ndarray:
+    mat = np.ascontiguousarray(mat, dtype=np.float32)
+    if mat.ndim != 2:
+        raise ParameterError(f"{name}: {_RANK_ERROR}")
+    mat.flags.writeable = False
+    return mat
+
+
+def _present(bundle) -> list:
+    """The `_LAYOUT` rows of the tensors a bundle carries, in payload order."""
+    return [(name, bit) for name, bit in _LAYOUT if not bit or getattr(bundle, name) is not None]
 
 
 def _as_nested(data, name: str):
     """Normalize (L, H, N, d) arrays or nested [layer][head] matrices to tuples."""
-    if isinstance(data, np.ndarray):
-        if data.ndim != 4:
-            raise ParameterError(f"{name}: expected a (layers, heads, seq, dim) array")
-        return tuple(tuple(_freeze(data[l, h]) for h in range(data.shape[1])) for l in range(data.shape[0]))
-    layers = []
-    for layer in data:
-        heads = []
-        for mat in layer:
-            mat = np.asarray(mat)
-            if mat.ndim != 2:
-                raise ParameterError(f"{name}: each per-head matrix must be 2-D")
-            heads.append(_freeze(mat))
-        layers.append(tuple(heads))
-    return tuple(layers)
+    try:
+        return tuple(tuple(_freeze(mat, name) for mat in layer) for layer in data)
+    except TypeError as exc:  # a scalar where a layer or the whole group should be
+        raise ParameterError(f"{name}: {_RANK_ERROR}") from exc
 
 
 @dataclass(frozen=True)
@@ -125,42 +129,24 @@ class KVBundle:
     queries: Optional[tuple] = None
 
     def __post_init__(self):
-        keys = _as_nested(self.keys, "keys")
-        values = _as_nested(self.values, "values")
-        prerope = None if self.keys_prerope is None else _as_nested(self.keys_prerope, "keys_prerope")
-        queries = None if self.queries is None else _as_nested(self.queries, "queries")
-
+        tensors = {name: _as_nested(getattr(self, name), name) for name, _ in _present(self)}
+        keys = tensors["keys"]
         if len(keys) < 1 or len(keys[0]) < 1:
             raise ParameterError("bundle needs at least one layer and one head")
-        n_heads = len(keys[0])
-        d = keys[0][0].shape[1]
-        for group_name, group in (("values", values), ("keys_prerope", prerope), ("queries", queries)):
-            if group is not None and (len(group) != len(keys) or any(len(lay) != n_heads for lay in group)):
-                raise ParameterError(f"{group_name}: layer/head structure differs from keys")
-        for l, layer in enumerate(keys):
-            if len(layer) != n_heads:
-                raise ParameterError("all layers must have the same head count")
-            for h, k in enumerate(layer):
-                n_tok = k.shape[0]
-                if n_tok < 1 or k.shape[1] != d:
-                    raise ParameterError(f"keys[{l}][{h}]: bad shape {k.shape}")
-                for group_name, group in (("values", values), ("keys_prerope", prerope), ("queries", queries)):
-                    if group is not None and group[l][h].shape != (n_tok, d):
-                        raise ParameterError(
-                            f"{group_name}[{l}][{h}]: shape {group[l][h].shape} != keys shape {(n_tok, d)}"
-                        )
-        for group in (keys, values, prerope, queries):
-            if group is None:
-                continue
-            for layer in group:
-                for mat in layer:
+        n_heads, d = len(keys[0]), keys[0][0].shape[1]
+        for name, group in tensors.items():
+            if len(group) != len(keys) or any(len(layer) != n_heads for layer in group):
+                raise ParameterError(f"{name}: expected {len(keys)} layers of {n_heads} heads")
+            # a short keys layer can end zip early here, but keys' own turn rejects it
+            for l, (layer, key_layer) in enumerate(zip(group, keys)):
+                for h, (mat, k) in enumerate(zip(layer, key_layer)):
+                    want = (k.shape[0], d)
+                    if mat.shape != want or min(want) < 1:
+                        raise ParameterError(f"{name}[{l}][{h}]: bad shape {mat.shape} (keys give {want}; seq, dim >= 1)")
                     if not np.isfinite(mat).all():
-                        raise DataError("bundle contains non-finite values")
-
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "keys_prerope", prerope)
-        object.__setattr__(self, "queries", queries)
+                        raise DataError(f"{name}[{l}][{h}]: bundle contains non-finite values")
+        for name, _ in _LAYOUT:
+            object.__setattr__(self, name, tensors.get(name))
 
     @property
     def n_layers(self) -> int:
@@ -187,10 +173,9 @@ class KVBundle:
     @property
     def seq_len(self) -> int:
         """Common token count; raises for ragged bundles."""
-        lens = self.seq_lens
-        if (lens != lens.flat[0]).any():
+        if self.is_ragged:
             raise ParameterError("bundle is ragged; use seq_lens")
-        return int(lens.flat[0])
+        return self.keys[0][0].shape[0]
 
     @property
     def has_queries(self) -> bool:
@@ -201,29 +186,25 @@ class KVBundle:
         return self.keys_prerope is not None
 
     def head(self, layer: int, head: int) -> HeadTensors:
-        """Tensors of one (layer, head)."""
-        return HeadTensors(
-            keys=self.keys[layer][head],
-            values=self.values[layer][head],
-            keys_prerope=None if self.keys_prerope is None else self.keys_prerope[layer][head],
-            queries=None if self.queries is None else self.queries[layer][head],
-        )
+        """Tensors of one (layer, head); None for an optional tensor the bundle lacks."""
+        groups = {name: getattr(self, name) for name, _ in _LAYOUT}
+        return HeadTensors(**{name: None if mats is None else mats[layer][head] for name, mats in groups.items()})
 
 
 def save_bundle(bundle: KVBundle, path) -> None:
     """Write a uniform bundle in KVT1 format (bit-exact float32 round trip)."""
     if bundle.is_ragged:
         raise FormatError("KVT1 carries a single seq_len; cannot save a ragged bundle")
-    flags = (_FLAG_QUERIES if bundle.has_queries else 0) | (_FLAG_PREROPE if bundle.has_prerope else 0)
+    present = _present(bundle)
+    flags = sum(bit for _, bit in present)
+    groups = [getattr(bundle, name) for name, _ in present]
     header = _HEADER.pack(_MAGIC, bundle.n_layers, bundle.n_kv_heads, bundle.seq_len, bundle.head_dim, flags)
     with open(path, "wb") as fh:
         fh.write(header)
         for l in range(bundle.n_layers):
             for h in range(bundle.n_kv_heads):
-                ht = bundle.head(l, h)
-                for mat in (ht.keys_prerope, ht.keys, ht.values, ht.queries):
-                    if mat is not None:
-                        fh.write(mat)
+                for mats in groups:
+                    fh.write(mats[l][h])
 
 
 def load_bundle(path) -> KVBundle:
@@ -246,24 +227,16 @@ def load_bundle(path) -> KVBundle:
             raise FormatError(f"{path}: header declares a zero dimension")
         if flags & ~(_FLAG_QUERIES | _FLAG_PREROPE):
             raise FormatError(f"{path}: unknown flag bits 0x{flags:02x}")
-        has_q = bool(flags & _FLAG_QUERIES)
-        has_pre = bool(flags & _FLAG_PREROPE)
-        n_tensors = 2 + has_q + has_pre
-        expected = n_layers * n_heads * n_tensors * seq_len * head_dim * 4
+        names = [name for name, bit in _LAYOUT if not bit or flags & bit]
+        expected = n_layers * n_heads * len(names) * seq_len * head_dim * 4
         size = os.fstat(fh.fileno()).st_size - _HEADER.size
         if size == expected:
-            data = np.empty((n_layers, n_heads, n_tensors, seq_len, head_dim), dtype="<f4")
+            data = np.empty((n_layers, n_heads, len(names), seq_len, head_dim), dtype="<f4")
             size = fh.readinto(data)
         if size != expected:
             raise TruncationError(f"{path}: payload is {size} bytes, header declares {expected}")
-    t = 0
-    prerope = data[:, :, t] if has_pre else None
-    t += has_pre
-    keys = data[:, :, t]
-    values = data[:, :, t + 1]
-    queries = data[:, :, t + 2] if has_q else None
     try:
-        return KVBundle(keys=keys, values=values, keys_prerope=prerope, queries=queries)
+        return KVBundle(**{name: data[:, :, slot] for slot, name in enumerate(names)})
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
@@ -304,16 +277,18 @@ class RetentionPlan:
             tuple(_index_tuple(head, f"layer {l} head {h}") for h, head in enumerate(layer))
             for l, layer in enumerate(self.retained)
         )
-        if len(layers) < 1 or any(len(layer) < 1 for layer in layers):
+        if len(layers) < 1 or len(layers[0]) < 1:
             raise DataError("plan needs at least one layer and one head")
+        if any(len(layer) != len(layers[0]) for layer in layers):
+            raise DataError(f"plan layers must all have layer 0's {len(layers[0])} heads")
         targets = self.retention_target
-        for r in targets if isinstance(targets, (tuple, list)) else (targets,):
-            if not (isinstance(r, (int, float)) and 0.0 < float(r) <= 1.0):
-                raise DataError(f"retention target {r!r} outside (0, 1]")
-        if isinstance(targets, (tuple, list)):
-            object.__setattr__(self, "retention_target", tuple(float(r) for r in targets))
-        else:
-            object.__setattr__(self, "retention_target", float(targets))
+        per_layer = isinstance(targets, (tuple, list))
+        if per_layer and len(targets) != len(layers):
+            raise DataError(f"plan has {len(targets)} per-layer retention targets for {len(layers)} layers")
+        for r in targets if per_layer else (targets,):
+            if isinstance(r, bool) or not (isinstance(r, (int, float)) and 0.0 < r <= 1.0):
+                raise DataError(f"retention target {r!r} is not a number in (0, 1]")
+        object.__setattr__(self, "retention_target", tuple(float(r) for r in targets) if per_layer else float(targets))
         object.__setattr__(self, "retained", layers)
 
     @property
@@ -364,12 +339,15 @@ def load_plan(path) -> RetentionPlan:
         isinstance(layer, list) and all(isinstance(head, list) for head in layer) for layer in layers
     ):
         raise FormatError(f"{path}: layers must be a list of layers, each a list of per-head index lists")
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise FormatError(f"{path}: plan metadata must be a JSON object")
     return RetentionPlan(
         retained=layers,
         retention_target=target,
         policy_name=policy_name,
         seed=seed,
-        metadata=doc.get("metadata", {}),
+        metadata=metadata,
     )
 
 
@@ -390,12 +368,7 @@ def apply_plan(bundle: KVBundle, plan: RetentionPlan) -> KVBundle:
         if rows[l][h][-1] >= n:
             raise PlanMismatchError(f"layer {l} head {h}: index {rows[l][h][-1]} out of range for seq_len {n}")
 
-    def gather(group):
-        return None if group is None else [[m[i] for m, i in zip(layer, picks)] for layer, picks in zip(group, rows)]
-
-    return KVBundle(
-        keys=gather(bundle.keys),
-        values=gather(bundle.values),
-        keys_prerope=gather(bundle.keys_prerope),
-        queries=gather(bundle.queries),
-    )
+    return KVBundle(**{
+        name: [[m[i] for m, i in zip(layer, picks)] for layer, picks in zip(getattr(bundle, name), rows)]
+        for name, _ in _present(bundle)
+    })

@@ -162,6 +162,20 @@ class TestPipeline:
         assert code == 2
         assert err.startswith("error:") and str(path) in err
 
+    def test_plan_head_counts_differ_is_input_error(self, tmp_path, capsys):
+        bundle = tmp_path / "b.kvt"
+        code, _, _ = run(
+            capsys, "synth", "--profile", "gaussian_iid", "--n", 4, "--d", 2, "--layers", 2, "--heads", 2, "--out", bundle
+        )
+        assert code == 0
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(
+            {"version": 1, "retention_target": 0.5, "policy_name": "x", "seed": None, "layers": [[[0, 1], [0, 1]], [[0, 1]]]}
+        ))
+        code, _, err = run(capsys, "apply", "--bundle", bundle, "--plan", plan, "--out", tmp_path / "o.kvt")
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_bad_magic_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.kvt"
         bad.write_bytes(b"XXXX" + b"\x00" * 64)

@@ -57,6 +57,11 @@ class TestSynth:
         assert not np.array_equal(bundle.keys[0][0], bundle.keys[0][1])
         assert not np.array_equal(bundle.keys[0][0], bundle.keys[1][0])
 
+    def test_prerope_keys_are_the_keys(self):
+        bundle = synth_bundle(SynthProfile(kind="gaussian_iid", N=16, d=4, seed=0), n_layers=2, n_kv_heads=2)
+        assert bundle.keys_prerope[0][0] is bundle.keys[0][0]
+        assert bundle.keys_prerope[1][1] is bundle.keys[1][1]
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             SynthProfile(kind="needle", N=10, d=4, needle_count=10)

@@ -113,6 +113,34 @@ class TestBundleFormat:
         assert b.keys[0][0].ravel().tolist() == [4, 5, 6, 7]
         assert b.values[0][0].ravel().tolist() == [8, 9, 10, 11]
 
+    @pytest.mark.parametrize("prerope, queries", [(False, False), (False, True), (True, False), (True, True)])
+    def test_payload_slots_follow_layout(self, tmp_path, prerope, queries):
+        # per head: [keys_prerope?, keys, values, queries?], two heads of 2x2
+        names = ["keys_prerope"] * prerope + ["keys", "values"] + ["queries"] * queries
+        payload = np.arange(2 * len(names) * 4, dtype=np.float32)
+        path, again = tmp_path / "a.kvt", tmp_path / "b.kvt"
+        path.write_bytes(raw_file(layers=1, heads=2, n=2, d=2, flags=queries | prerope << 1, payload=payload))
+        b = load_bundle(path)
+        assert (b.has_prerope, b.has_queries) == (prerope, queries)
+        for h in range(2):
+            for slot, name in enumerate(names):
+                first = 4 * (h * len(names) + slot)
+                assert getattr(b, name)[0][h].ravel().tolist() == list(range(first, first + 4))
+        save_bundle(b, again)
+        assert again.read_bytes() == path.read_bytes()
+        save_bundle(load_bundle(again), path)
+        assert path.read_bytes() == again.read_bytes()
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(), (4,), (2, 4), (1, 2, 4), (1, 1, 1, 4, 2), (1, 1, 4, 0), (1, 1, 0, 2)],
+        ids=["0d", "1d", "2d", "3d", "5d", "head_dim_0", "seq_len_0"],
+    )
+    def test_bad_shape_rejected(self, tmp_path, shape):
+        mats = np.ones(shape, dtype=np.float32)
+        with pytest.raises(ParameterError):
+            KVBundle(keys=mats, values=mats)
+
     def test_ragged_bundle_not_saveable(self, tmp_path):
         b = KVBundle(
             keys=[[np.ones((3, 2), np.float32), np.ones((2, 2), np.float32)]],
@@ -171,6 +199,22 @@ class TestRetentionPlan:
     def test_bad_target_rejected(self):
         with pytest.raises(DataError):
             RetentionPlan(retained=(((0,),),), retention_target=1.5, policy_name="x")
+
+    def test_head_count_differs_across_layers(self):
+        with pytest.raises(DataError):
+            RetentionPlan(retained=(((0, 1), (0, 1)), ((0, 1),)), retention_target=0.5, policy_name="x")
+
+    @pytest.mark.parametrize(
+        "target", [True, float("nan"), float("inf"), (0.5, True)], ids=["bool", "nan", "inf", "bool_in_list"]
+    )
+    def test_non_numeric_target_rejected(self, target):
+        with pytest.raises(DataError):
+            RetentionPlan(retained=(((0,),), ((0,),)), retention_target=target, policy_name="x")
+
+    def test_per_layer_target_count(self):
+        for targets in ((0.5,), (0.5, 0.5, 0.5)):
+            with pytest.raises(DataError):
+                RetentionPlan(retained=(((0,),), ((0,),)), retention_target=targets, policy_name="x")
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "plan.json"
@@ -232,6 +276,22 @@ class TestRetentionPlan:
         code = main(["apply", "--bundle", str(tmp_path / "b.kvt"), "--plan", str(plan), "--out", str(tmp_path / "o.kvt")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("target", ["true", "[0.5]"])
+    def test_bad_target_from_json(self, tmp_path, target):
+        path = tmp_path / "plan.json"
+        path.write_text(
+            '{"version": 1, "retention_target": ' + target + ', "policy_name": "x", "seed": null,'
+            ' "layers": [[[0]], [[1]]]}'
+        )
+        with pytest.raises(DataError):
+            load_plan(path)
+
+    @pytest.mark.parametrize("metadata", ["[1, 2]", "null", '"text"'])
+    def test_metadata_not_object(self, tmp_path, metadata):
+        path = self.plan_file(tmp_path / "plan.json", '[[[0]]], "metadata": ' + metadata)
+        with pytest.raises(FormatError, match="plan.json"):
+            load_plan(path)
 
     def test_integer_retention_target_from_json(self, tmp_path):
         path = tmp_path / "plan.json"
