@@ -9,6 +9,13 @@ shorter). Two query-aware baselines are provided for comparison: column
 sums of the causally masked softmax over all queries, and over only the
 last ``baseline_window`` queries.
 
+Working memory per head is the float64 copies of Q and K (none when they
+already are float64 and C-contiguous), O(N) score vectors, and the logits
+of one block. A non-causal block is chunk_size x chunk_size. The causal
+baselines score query rows [s, e) against only the e keys those rows can
+see, in blocks of at most ``_LOGITS_BYTES`` (32 MiB) of float64 logits, or
+one row when a row alone is larger, so that block does not grow with N.
+
 Mean pooling (centered moving average, edge-truncated) and value-norm
 scaling are separate steps so callers control the post-processing order;
 the bundled eviction pipeline pools first, then scales.
@@ -23,7 +30,7 @@ import numpy as np
 from .errors import ParameterError, _check_field
 from .kvstore import ScoreVector
 
-_ROW_BLOCK = 2048
+_LOGITS_BYTES = 32 << 20  # float64 logits per causal row block
 
 
 @dataclass(frozen=True)
@@ -89,22 +96,20 @@ def _softmax_colsum(logits, out):
     out += logits.sum(axis=0)
 
 
-def _causal_softmax_colsum(logits, start, out):
-    """Masked variant of _softmax_colsum: row i only sees columns <= start + i."""
-    m, n = logits.shape
-    visible = np.arange(n)[None, :] <= (start + np.arange(m))[:, None]
-    _softmax_colsum(np.where(visible, logits, -np.inf), out)
-
-
 def _causal_scores(Q, K, cfg: AttnScoreConfig, start: int) -> ScoreVector:
-    """Causal attention accumulated over query rows start..N-1, in blocks of _ROW_BLOCK rows."""
+    """Causal attention accumulated over query rows start..N-1, in row blocks of at most _LOGITS_BYTES."""
     n = Q.shape[0]
     scale = _scale(cfg, Q.shape[1])
+    rows = max(1, _LOGITS_BYTES // (8 * max(n, 1)))  # n == 0 reaches ScoreVector's error
     out = np.zeros(n)
-    for s in range(start, n, _ROW_BLOCK):
-        e = min(s + _ROW_BLOCK, n)
-        logits = scale * (Q[s:e] @ K.T)
-        _causal_softmax_colsum(logits, s, out)
+    for s in range(start, n, rows):
+        e = min(s + rows, n)
+        logits = Q[s:e] @ K[:e].T
+        logits *= scale
+        for i in range(e - s - 1):  # query s + i sees keys 0..s + i
+            logits[i, s + i + 1 :] = -np.inf
+        _softmax_colsum(logits, out[:e])
+        del logits  # free this block before the next one is computed
     return ScoreVector(out, kind="baseline")
 
 
@@ -127,7 +132,12 @@ def noncausal_scores(Q: np.ndarray, K: np.ndarray, cfg: AttnScoreConfig = AttnSc
 
 
 def h2o_scores(Q: np.ndarray, K: np.ndarray, cfg: AttnScoreConfig = AttnScoreConfig()) -> ScoreVector:
-    """Causal attention accumulated over all queries (query rows blocked to bound memory)."""
+    """Causal attention accumulated over all queries.
+
+    Query rows are scored in blocks against only the keys they can see; the
+    working memory is the float64 copies of Q and K, one logits block of at
+    most 32 MiB (at least one row), and O(N) vectors, whatever N is.
+    """
     Q, K = _check_pair(Q, K)
     return _causal_scores(Q, K, cfg, 0)
 

@@ -118,9 +118,12 @@ class KVBundle:
     """Per-layer, per-head key/value/query matrices for one context.
 
     Matrices are float32 and read-only after construction; every operation
-    treats bundles as immutable values. Per-head sequence lengths may differ
-    after applying a per-layer retention plan (``is_ragged``); the KVT1 file
-    format only represents uniform bundles.
+    treats bundles as immutable values. Float32 C-contiguous inputs are kept
+    without a copy, so the bundle shares memory with the caller's arrays
+    and callers must not write to them afterwards; other inputs are copied,
+    and ``load_bundle``'s bundles own their payload. Per-head sequence
+    lengths may differ after applying a per-layer retention plan
+    (``is_ragged``); the KVT1 file format only represents uniform bundles.
     """
 
     keys: tuple

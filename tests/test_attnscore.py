@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from kvcompactor import (
     snapkv_scores,
     value_norm_scale,
 )
+from kvcompactor import attnscore
 from kvcompactor.errors import ParameterError
 
 
@@ -114,21 +117,26 @@ class TestH2O:
         got = h2o_scores(Q, K, AttnScoreConfig(scale=1.0)).scores
         assert np.abs(got - oracle_causal(Q, K, 1.0)).max() < 1e-6
 
-    def test_blocked_rows_match_oracle(self):
-        # force multiple row blocks through the kernel
-        from kvcompactor import attnscore
-
+    def test_blocked_rows_match_oracle(self, monkeypatch):
         Q, K = pair(np.random.default_rng(4), 50, 4)
-        got = h2o_scores(Q, K, AttnScoreConfig(scale=0.5)).scores
-        old = attnscore._ROW_BLOCK
-        attnscore._ROW_BLOCK = 16
-        try:
-            blocked = h2o_scores(Q, K, AttnScoreConfig(scale=0.5)).scores
-        finally:
-            attnscore._ROW_BLOCK = old
         oracle = oracle_causal(Q, K, 0.5)
+        got = h2o_scores(Q, K, AttnScoreConfig(scale=0.5)).scores
         assert np.abs(got - oracle).max() < 1e-10
-        assert np.abs(blocked - oracle).max() < 1e-10
+        # row blocks of 1 row, of 16 rows with a ragged last block of 2, and one block of all 50
+        for budget in (8, 16 * 8 * 50, 50 * 8 * 50):
+            monkeypatch.setattr(attnscore, "_LOGITS_BYTES", budget)
+            blocked = h2o_scores(Q, K, AttnScoreConfig(scale=0.5)).scores
+            assert np.abs(blocked - oracle).max() < 1e-10
+
+    def test_memory_bounded_by_logits_budget(self):
+        Q, K = pair(np.random.default_rng(8), 8192, 16)
+        tracemalloc.start()
+        try:
+            h2o_scores(Q, K)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < attnscore._LOGITS_BYTES + (4 << 20)
 
 
 class TestSnapKV:
@@ -148,6 +156,14 @@ class TestSnapKV:
         Q, K = pair(np.random.default_rng(0), 4, 2)
         got = snapkv_scores(Q, K, AttnScoreConfig(baseline_window=2)).scores
         assert np.abs(got - oracle_causal(Q, K, 1 / np.sqrt(2), window=2)).max() < 1e-6
+
+    @pytest.mark.parametrize("window", [7, 16, 20, 33, 50])
+    def test_blocked_rows_match_oracle(self, monkeypatch, window):
+        # 16-row blocks start at N - window, so windows of 20, 33 and 50 straddle blocks
+        monkeypatch.setattr(attnscore, "_LOGITS_BYTES", 16 * 8 * 50)
+        Q, K = pair(np.random.default_rng(9), 50, 4)
+        got = snapkv_scores(Q, K, AttnScoreConfig(baseline_window=window, scale=0.5)).scores
+        assert np.abs(got - oracle_causal(Q, K, 0.5, window=window)).max() < 1e-10
 
     def test_window_too_large(self):
         with pytest.raises(ParameterError):
