@@ -9,12 +9,19 @@ shorter). Two query-aware baselines are provided for comparison: column
 sums of the causally masked softmax over all queries, and over only the
 last ``baseline_window`` queries.
 
-Working memory per head is the float64 copies of Q and K (none when they
-already are float64 and C-contiguous), O(N) score vectors, and the logits
-of one block. A non-causal block is chunk_size x chunk_size. The causal
+Precision follows the inputs, with no option: when Q and K are both
+float32 (every bundle, since KVT1 stores float32), the logits GEMM, the
+scale, the max-subtraction, exp and the row normalization run in float32;
+any other pair is scored in float64. Either way the softmax row sums and
+the per-token scores are accumulated in float64.
+
+Working memory per head is O(N) float64 score vectors and the logits of
+one block in the scoring dtype, plus copies of Q and K only when they are
+not already C-contiguous in that dtype (a bundle's heads never are
+copied). A non-causal block is chunk_size x chunk_size. The causal
 baselines score query rows [s, e) against only the e keys those rows can
-see, in blocks of at most ``_LOGITS_BYTES`` (32 MiB) of float64 logits, or
-one row when a row alone is larger, so that block does not grow with N.
+see, in blocks of at most ``_LOGITS_BYTES`` (32 MiB) of logits, or one row
+when a row alone is larger, so that block does not grow with N.
 
 Mean pooling (centered moving average, edge-truncated) and value-norm
 scaling are separate steps so callers control the post-processing order;
@@ -30,7 +37,7 @@ import numpy as np
 from .errors import ParameterError, _check_field
 from .kvstore import ScoreVector
 
-_LOGITS_BYTES = 32 << 20  # float64 logits per causal row block
+_LOGITS_BYTES = 32 << 20  # bytes of logits, in the input dtype, per causal row block
 
 
 @dataclass(frozen=True)
@@ -77,8 +84,11 @@ class AttnScoreConfig:
 
 
 def _check_pair(Q, K):
-    Q = np.ascontiguousarray(Q, dtype=np.float64)
-    K = np.ascontiguousarray(K, dtype=np.float64)
+    """Q and K as C-contiguous arrays of one dtype: float32 if both are float32, else float64."""
+    Q, K = np.asarray(Q), np.asarray(K)
+    dtype = np.float32 if Q.dtype == K.dtype == np.float32 else np.float64
+    Q = np.ascontiguousarray(Q, dtype=dtype)
+    K = np.ascontiguousarray(K, dtype=dtype)
     if Q.ndim != 2 or K.ndim != 2 or Q.shape != K.shape:
         raise ParameterError(f"Q and K must share one (N, d) shape, got {Q.shape} and {K.shape}")
     return Q, K
@@ -89,18 +99,22 @@ def _scale(cfg: AttnScoreConfig, d: int) -> float:
 
 
 def _softmax_colsum(logits, out):
-    """Accumulate the column sums of the row-softmax of ``logits`` into ``out``; overwrites ``logits``."""
+    """Accumulate the column sums of the row-softmax of ``logits`` into float64 ``out``; overwrites ``logits``.
+
+    exp and the division run in the logits' dtype; the row and column sums
+    are accumulated in float64 without a float64 copy of the block.
+    """
     logits -= logits.max(axis=1, keepdims=True)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=1, keepdims=True)
-    out += logits.sum(axis=0)
+    logits /= logits.sum(axis=1, keepdims=True, dtype=np.float64).astype(logits.dtype)
+    out += logits.sum(axis=0, dtype=np.float64)
 
 
 def _causal_scores(Q, K, cfg: AttnScoreConfig, start: int) -> ScoreVector:
     """Causal attention accumulated over query rows start..N-1, in row blocks of at most _LOGITS_BYTES."""
     n = Q.shape[0]
     scale = _scale(cfg, Q.shape[1])
-    rows = max(1, _LOGITS_BYTES // (8 * max(n, 1)))  # n == 0 reaches ScoreVector's error
+    rows = max(1, _LOGITS_BYTES // (Q.itemsize * max(n, 1)))  # n == 0 reaches ScoreVector's error
     out = np.zeros(n)
     for s in range(start, n, rows):
         e = min(s + rows, n)
@@ -126,7 +140,8 @@ def noncausal_scores(Q: np.ndarray, K: np.ndarray, cfg: AttnScoreConfig = AttnSc
     out = np.zeros(n)
     for s in range(0, n, cfg.chunk_size):
         e = min(s + cfg.chunk_size, n)
-        logits = scale * (Q[s:e] @ K[s:e].T)
+        logits = Q[s:e] @ K[s:e].T
+        logits *= scale
         _softmax_colsum(logits, out[s:e])
     return ScoreVector(out, kind="attention")
 
@@ -135,8 +150,10 @@ def h2o_scores(Q: np.ndarray, K: np.ndarray, cfg: AttnScoreConfig = AttnScoreCon
     """Causal attention accumulated over all queries.
 
     Query rows are scored in blocks against only the keys they can see; the
-    working memory is the float64 copies of Q and K, one logits block of at
-    most 32 MiB (at least one row), and O(N) vectors, whatever N is.
+    working memory is one logits block of at most 32 MiB in the scoring
+    dtype (at least one row) and O(N) float64 vectors, whatever N is, plus
+    copies of Q and K only when they are not already C-contiguous in that
+    dtype.
     """
     Q, K = _check_pair(Q, K)
     return _causal_scores(Q, K, cfg, 0)
@@ -169,8 +186,8 @@ def mean_pool(scores: ScoreVector, window: int) -> ScoreVector:
 
 def value_norm_scale(scores: ScoreVector, V: np.ndarray) -> ScoreVector:
     """Scale each token's score by the Euclidean norm of its value row."""
-    V = np.asarray(V, dtype=np.float64)
+    V = np.asarray(V)
     if V.ndim != 2 or V.shape[0] != len(scores):
         raise ParameterError(f"values shape {V.shape} does not match {len(scores)} scores")
-    norms = np.sqrt(np.einsum("ij,ij->i", V, V))
+    norms = np.sqrt(np.einsum("ij,ij->i", V, V, dtype=np.float64))
     return ScoreVector(scores.scores * norms, kind=scores.kind)

@@ -8,6 +8,12 @@ U = K V Sigma^-1), which turns the computation into one small SVD plus two
 GEMMs. Approximate scores right-sketch K first and run the same recovery on
 the N x k sketch.
 
+Precision changes at the sketch: its GEMM runs in K's dtype (float32 for
+bundle keys, see ``sketch.apply_sketch``), while the basis recovery (the
+k x k Gram, its SVD and U) always runs in float64. The Gram squares the
+condition number, so float32 there would lose the small directions that
+leverage is meant to find.
+
 Three basis subroutines are provided: the Gram-SVD route above, which is
 the default and the only one the eviction pipeline uses, plus reduced QR
 and Gram eigendecomposition, kept as cross-checks of it (acceptance

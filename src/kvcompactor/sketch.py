@@ -7,6 +7,10 @@ randomized Hadamard transform (SRHT). Both are built as an explicit (d, k)
 matrix and applied as one GEMM; at head_dim scale the SRHT's Hadamard
 factor is a small matrix, so no fast transform is needed.
 
+The matrix is drawn in float64, and the GEMM runs in K's precision:
+float32 keys (every bundle's) are multiplied by the matrix rounded to
+float32 and give a float32 sketch; any other K gives a float64 sketch.
+
 All draws come from a counter-based generator (Philox), so equal
 (input, spec) pairs give bitwise-equal outputs regardless of thread
 scheduling.
@@ -108,13 +112,18 @@ _SKETCHES = {"gaussian": gaussian_sketch, "srht": srht_sketch}
 
 
 def apply_sketch(K: np.ndarray, spec: SketchSpec) -> np.ndarray:
-    """K @ Phi with the spec's (d, k) sketch matrix; kind "none" returns K unchanged."""
+    """K @ Phi with the spec's (d, k) sketch matrix; kind "none" returns K unchanged.
+
+    Float32 K is multiplied by Phi rounded to float32, so the product is
+    float32; any other K is multiplied by the float64 Phi.
+    """
     K = np.asarray(K)
     if spec.kind == "none":
         return K
     if K.ndim != 2:
         raise ParameterError("K must be 2-D")
-    return K @ _SKETCHES[spec.kind](K.shape[1], spec)
+    phi = _SKETCHES[spec.kind](K.shape[1], spec)
+    return K @ (phi.astype(np.float32) if K.dtype == np.float32 else phi)
 
 
 def srht_apply(K: np.ndarray, spec: SketchSpec) -> np.ndarray:

@@ -170,6 +170,72 @@ class TestSnapKV:
             snapkv_scores(np.zeros((3, 2)), np.zeros((3, 2)), AttnScoreConfig(baseline_window=4))
 
 
+def as_f32(*xs):
+    """float32 copies, and the float64 arrays holding exactly the same values."""
+    f32 = [x.astype(np.float32) for x in xs]
+    return f32, [x.astype(np.float64) for x in f32]
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+class TestFloat32:
+    """Float32 pairs are scored in float32 with float64 sums; every other pair in float64."""
+
+    def test_noncausal_matches_float64_path(self):
+        (Q, K), (Q64, K64) = as_f32(*pair(np.random.default_rng(10), 1000, 128))
+        cfg = AttnScoreConfig(chunk_size=96)  # ragged last chunk of 40
+        got = noncausal_scores(Q, K, cfg).scores
+        assert np.abs(got - noncausal_scores(Q64, K64, cfg).scores).max() < 1e-5
+
+    @pytest.mark.parametrize(
+        "fn, cfg", [(h2o_scores, AttnScoreConfig()), (snapkv_scores, AttnScoreConfig(baseline_window=150))]
+    )
+    def test_causal_matches_float64_path(self, monkeypatch, fn, cfg):
+        (Q, K), (Q64, K64) = as_f32(*pair(np.random.default_rng(11), 600, 128))
+        want = fn(Q64, K64, cfg).scores
+        # float32 blocks of 64 rows: h2o ends on a ragged block of 24, and
+        # the snapkv window (rows 450..599) straddles three blocks
+        monkeypatch.setattr(attnscore, "_LOGITS_BYTES", 64 * 4 * 600)
+        assert np.abs(fn(Q, K, cfg).scores - want).max() < 1e-5
+
+    def test_dtype_rule(self):
+        Q, K = pair(np.random.default_rng(13), 40, 8)
+        Q32, K32 = Q.astype(np.float32), K.astype(np.float32)
+        q, k = attnscore._check_pair(Q32, K32)
+        assert q.dtype == k.dtype == np.float32
+        assert np.shares_memory(q, Q32) and np.shares_memory(k, K32)
+        q, k = attnscore._check_pair(Q, K)
+        assert q is Q and k is K
+        q, k = attnscore._check_pair(Q32, K)
+        assert q.dtype == k.dtype == np.float64
+        # a mixed pair is the float64 pair of its values, bit for bit
+        cfg = AttnScoreConfig(chunk_size=16, baseline_window=20)
+        Q64 = Q32.astype(np.float64)
+        for fn in (noncausal_scores, h2o_scores, snapkv_scores):
+            assert np.array_equal(fn(Q32, K, cfg).scores, fn(Q64, K, cfg).scores)
+            assert np.array_equal(fn(K, Q32, cfg).scores, fn(K, Q64, cfg).scores)
+
+    @pytest.mark.parametrize(
+        "fn, cfg", [(h2o_scores, AttnScoreConfig()), (snapkv_scores, AttnScoreConfig(baseline_window=2048))]
+    )
+    def test_causal_memory_bounded_by_logits_budget(self, fn, cfg):
+        # a float64 copy of one 32 MiB float32 block alone would take 64 MiB
+        Q, K = (x.astype(np.float32) for x in pair(np.random.default_rng(14), 8192, 16))
+        assert traced_peak(fn, Q, K, cfg) < attnscore._LOGITS_BYTES + (4 << 20)
+
+    def test_noncausal_copies_neither_input(self):
+        Q, K = (x.astype(np.float32) for x in pair(np.random.default_rng(15), 8192, 128))
+        assert traced_peak(noncausal_scores, Q, K) < Q.nbytes
+
+
 class TestMeanPool:
     def test_window_one_identity(self):
         s = ScoreVector([1.0, 2.0, 3.0], "attention")
@@ -201,6 +267,12 @@ class TestValueNorm:
     def test_small_example(self):
         got = value_norm_scale(ScoreVector([1.0, 1.0], "attention"), np.array([[3.0, 4.0], [0.0, 0.0]]))
         assert np.allclose(got.scores, [5.0, 0.0])
+
+    def test_float32_values_match_float64_values(self):
+        v = np.random.default_rng(16).standard_normal((50, 128)).astype(np.float32)
+        s = ScoreVector(np.ones(50), "attention")
+        got = value_norm_scale(s, v).scores
+        assert np.array_equal(got, value_norm_scale(s, v.astype(np.float64)).scores)
 
     def test_norm_oracle(self):
         rng = np.random.default_rng(7)

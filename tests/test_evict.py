@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,9 @@ from kvcompactor import (
     value_norm_scale,
 )
 from kvcompactor.errors import DataError, ParameterError
+from kvcompactor.evict import _head_indices
 from kvcompactor.harness import SynthProfile, planted_needles, synth_bundle
+from kvcompactor.kvstore import HeadTensors
 
 
 def zscore(v):
@@ -206,6 +210,20 @@ class TestCompressBundle:
         assert plan.metadata["policy"] == policy.to_json_dict()
         assert plan.metadata["effective_sketch_k"] == 32  # capped at head_dim
         assert plan.policy_name == "compactor"
+
+    @pytest.mark.parametrize("sketch", [SketchSpec("gaussian", 64, seed=5), SketchSpec("srht", 64, seed=5)])
+    def test_float32_plan_equals_float64_plan(self, sketch):
+        # bundles score in float32; the same values in float64 must retain the same tokens
+        profile = SynthProfile(kind="needle", N=1024, d=64, needle_count=4, noise_sigma=0.1, seed=21)
+        bundle = synth_bundle(profile, 2, 2)
+        policy = EvictionPolicy(kind="compactor", retention=0.2, sketch=sketch)
+        plan = compress_bundle(bundle, policy)
+        for l in range(2):
+            for h in range(2):
+                ht = bundle.head(l, h)
+                ht64 = HeadTensors(*(None if m is None else m.astype(np.float64) for m in astuple(ht)))
+                assert list(plan.retained[l][h]) == _head_indices(policy, ht64, l, h, 0.2).tolist()
+                assert set(planted_needles(profile)) <= set(plan.retained[l][h])
 
 
 class TestPolicySerialization:

@@ -95,6 +95,18 @@ class TestApproxLeverage:
                 ok += 1
         assert ok >= 19
 
+    @pytest.mark.parametrize("kind", ["gaussian", "srht"])
+    def test_float32_keys_match_float64_path(self, kind):
+        # the sketch GEMM runs in float32; the Gram, its SVD and the basis stay float64
+        from kvcompactor.harness import conditioned_matrix
+
+        K = conditioned_matrix(4096, 128, 100.0, np.random.default_rng(7)).astype(np.float32)
+        spec = SketchSpec(kind, 64, seed=3)
+        got = approx_leverage(K, spec)
+        want = approx_leverage(K.astype(np.float64), spec)
+        assert got.effective_rank == want.effective_rank
+        assert np.abs(got.scores.scores - want.scores.scores).max() < 1e-5
+
     def test_rank_deficient_never_errors(self):
         K = np.zeros((20, 8))
         K[:, 0] = 1.0

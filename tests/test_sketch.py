@@ -109,6 +109,17 @@ class TestApplySketch:
         rhs = 2.5 * apply_sketch(k1, spec) - 0.7 * apply_sketch(k2, spec)
         assert np.allclose(lhs, rhs, rtol=1e-5, atol=1e-9)
 
+    @pytest.mark.parametrize("kind", ["gaussian", "srht"])
+    def test_gemm_runs_in_the_keys_precision(self, kind):
+        K = np.random.default_rng(6).standard_normal((20, 32))
+        spec = SketchSpec(kind, 16, seed=9)
+        phi = {"gaussian": gaussian_sketch, "srht": srht_sketch}[kind](32, spec)
+        K32 = K.astype(np.float32)
+        out32 = apply_sketch(K32, spec)
+        assert out32.dtype == np.float32
+        assert np.array_equal(out32, K32 @ phi.astype(np.float32))
+        assert np.array_equal(apply_sketch(K, spec), K @ phi)
+
     def test_determinism_across_calls(self):
         K = np.random.default_rng(5).standard_normal((10, 16))
         spec = SketchSpec("srht", 8, seed=11)
