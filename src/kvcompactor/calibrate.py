@@ -1,8 +1,8 @@
 """Context-calibrated compression: fit, evaluate, and invert the quality curve.
 
 The degradation a context tolerates is modeled by a two-parameter family.
-A per-context steepness k = alpha * NLL(c) + beta (clamped below at k_min)
-sets the shape of
+A per-context steepness k = alpha * NLL(c) + beta (clamped below at the
+model's k_min) sets the shape of
 
     f(r) = (exp(r*k - k) - exp(-k)) / (1 - exp(-k))
 
@@ -22,13 +22,14 @@ Fitting minimizes an asymmetric squared loss over observed
 drives under-estimation of the retention a context actually needs. The
 optimizer is a damped Gauss-Newton iteration multi-started from a coarse
 (alpha, beta) grid; NLL values always arrive from files, never from a
-model run here.
+model run here. Fits clamp k at the fixed floor 1e-3, which is the k_min
+of every fitted model; a model loaded from a file uses its own k_min.
 """
 
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .errors import ConvergenceError, DataError, DegenerateFitError, FormatError
 
 _GRID_ALPHA = (-2.0, -1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0, 2.0)
 _GRID_BETA = (0.05, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
+_K_MIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,7 @@ class CalibrationModel:
 
     alpha: float
     beta: float
-    k_min: float = 1e-3
+    k_min: float = _K_MIN
     fit_rmse: float = 0.0
     n_points: int = 0
 
@@ -97,33 +99,56 @@ def invert_retention(nll_c: float, tau: float, model: CalibrationModel) -> float
     return min(1.0, max(r, 1e-12))
 
 
-def _curve(rs: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    return np.exp((rs - 1.0) * ks) * np.expm1(-rs * ks) / np.expm1(-ks)
-
-
-def _curve_dk(rs: np.ndarray, ks: np.ndarray):
+def _curve(rs: np.ndarray, ks: np.ndarray):
     """f and df/dk, written in overflow-free form (all exponents <= 0)."""
     a = np.exp((rs - 1.0) * ks) * (-np.expm1(-rs * ks))
     b = -np.expm1(-ks)
     da = (rs - 1.0) * a + rs * np.exp(-ks)
     db = np.exp(-ks)
-    f = a / b
-    return f, (da * b - a * db) / (b * b)
+    return a / b, (da * b - a * db) / (b * b)
 
 
-def _objective(ab, rs, nlls, ys, k_min, penalty):
-    ks = np.maximum(ab[0] * nlls + ab[1], k_min)
-    res = _curve(rs, ks) - ys
+def _objective(ab, rs, nlls, ys, penalty):
+    """Residuals, their weights, the weighted loss, and df/dk at (alpha, beta) = ab."""
+    f, dfdk = _curve(rs, np.maximum(ab[0] * nlls + ab[1], _K_MIN))
+    res = f - ys
     w = np.where(res > 0, penalty, 1.0)
-    return res, w, float((w * res * res).sum())
+    return res, w, float((w * res * res).sum()), dfdk
 
 
-def fit_calibration(
-    triples,
-    under_penalty: float = 4.0,
-    k_min: float = 1e-3,
-    max_iter: int = 200,
-) -> CalibrationModel:
+def _descend(start, rs, nlls, ys, penalty, max_iter):
+    """One damped Gauss-Newton run from `start`: (objective, alpha, beta, converged)."""
+    ab = np.array(start, dtype=np.float64)
+    res, w, obj, dfdk = _objective(ab, rs, nlls, ys, penalty)
+    mu = 1e-3
+    converged = False
+    for _ in range(max_iter):
+        live = (ab[0] * nlls + ab[1] > _K_MIN).astype(np.float64)
+        jac = np.stack([dfdk * nlls * live, dfdk * live], axis=1)
+        jtj = (jac * w[:, None]).T @ jac
+        g = jac.T @ (w * res)
+        try:
+            step = np.linalg.solve(jtj + mu * np.eye(2), -g)
+        except np.linalg.LinAlgError:
+            step = -g
+        new_ab = ab + step
+        new = _objective(new_ab, rs, nlls, ys, penalty)
+        if new[2] <= obj:
+            moved = np.abs(step).max()
+            ab, (res, w, obj, dfdk) = new_ab, new
+            mu = max(mu * 0.3, 1e-12)
+            if moved < 1e-13 * (1.0 + np.abs(ab).max()):
+                converged = True
+                break
+        else:
+            mu *= 10.0
+            if mu > 1e12:
+                converged = obj < 1e-30 or np.abs(g).max() < 1e-10 * (1.0 + obj)
+                break
+    return obj, float(ab[0]), float(ab[1]), converged
+
+
+def fit_calibration(triples, under_penalty: float = 4.0, max_iter: int = 200) -> CalibrationModel:
     """Fit (alpha, beta) by damped Gauss-Newton with coarse-grid multi-start.
 
     Parameters
@@ -133,6 +158,10 @@ def fit_calibration(
     under_penalty : float
         Weight on residuals where the curve over-predicts quality; >= 1.
         1.0 gives the symmetric least-squares fit.
+
+    The lowest-objective converged run wins, ties going to the smaller
+    (alpha, beta). If none converges, ConvergenceError carries the model of
+    the lowest-objective run.
     """
     triples = list(triples)
     if under_penalty < 1.0:
@@ -145,63 +174,15 @@ def fit_calibration(
 
     starts = sorted(
         ((a, b) for a in _GRID_ALPHA for b in _GRID_BETA),
-        key=lambda ab: _objective(np.array(ab), rs, nlls, ys, k_min, under_penalty)[2],
+        key=lambda ab: _objective(np.array(ab), rs, nlls, ys, under_penalty)[2],
     )[:3]
-
-    best = None
-    best_last = None
-    for start in starts:
-        ab = np.array(start, dtype=np.float64)
-        res, w, obj = _objective(ab, rs, nlls, ys, k_min, under_penalty)
-        mu = 1e-3
-        converged = False
-        for _ in range(max_iter):
-            ks_raw = ab[0] * nlls + ab[1]
-            ks = np.maximum(ks_raw, k_min)
-            _, dfdk = _curve_dk(rs, ks)
-            live = (ks_raw > k_min).astype(np.float64)
-            jac = np.stack([dfdk * nlls * live, dfdk * live], axis=1)
-            jtj = (jac * w[:, None]).T @ jac
-            g = jac.T @ (w * res)
-            try:
-                step = np.linalg.solve(jtj + mu * np.eye(2), -g)
-            except np.linalg.LinAlgError:
-                step = -g
-            new_ab = ab + step
-            new_res, new_w, new_obj = _objective(new_ab, rs, nlls, ys, k_min, under_penalty)
-            if new_obj <= obj:
-                moved = np.abs(step).max()
-                ab, res, w, obj = new_ab, new_res, new_w, new_obj
-                mu = max(mu * 0.3, 1e-12)
-                if moved < 1e-13 * (1.0 + np.abs(ab).max()):
-                    converged = True
-                    break
-            else:
-                mu *= 10.0
-                if mu > 1e12:
-                    converged = obj < 1e-30 or np.abs(g).max() < 1e-10 * (1.0 + obj)
-                    break
-        candidate = (obj, float(ab[0]), float(ab[1]))
-        if best_last is None or candidate < best_last:
-            best_last = candidate
-        if converged and (best is None or candidate < best):
-            best = candidate
-
-    chosen = best if best is not None else None
-    if chosen is None:
-        obj, alpha, beta = best_last
-        res, _, _ = _objective(np.array([alpha, beta]), rs, nlls, ys, k_min, under_penalty)
-        partial = CalibrationModel(alpha, beta, k_min, float(np.sqrt(np.mean(res * res))), rs.size)
-        raise ConvergenceError(f"no start converged within {max_iter} iterations", model=partial)
-    obj, alpha, beta = chosen
-    res, _, _ = _objective(np.array([alpha, beta]), rs, nlls, ys, k_min, under_penalty)
-    return CalibrationModel(
-        alpha=alpha,
-        beta=beta,
-        k_min=k_min,
-        fit_rmse=float(np.sqrt(np.mean(res * res))),
-        n_points=rs.size,
-    )
+    runs = [_descend(start, rs, nlls, ys, under_penalty, max_iter) for start in starts]
+    _, alpha, beta, converged = min([run for run in runs if run[3]] or runs, key=lambda run: run[:3])
+    res = _objective(np.array([alpha, beta]), rs, nlls, ys, under_penalty)[0]
+    model = CalibrationModel(alpha, beta, _K_MIN, float(np.sqrt(np.mean(res * res))), rs.size)
+    if not converged:
+        raise ConvergenceError(f"no start converged within {max_iter} iterations", model=model)
+    return model
 
 
 def load_triples(path) -> list:
@@ -232,15 +213,8 @@ def load_triples(path) -> list:
 
 
 def save_model(model: CalibrationModel, path) -> None:
-    doc = {
-        "alpha": model.alpha,
-        "beta": model.beta,
-        "k_min": model.k_min,
-        "fit_rmse": model.fit_rmse,
-        "n_points": model.n_points,
-    }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
+        json.dump(asdict(model), fh, indent=1)
         fh.write("\n")
 
 
@@ -253,13 +227,7 @@ def load_model(path) -> CalibrationModel:
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     try:
-        return CalibrationModel(
-            alpha=doc["alpha"],
-            beta=doc["beta"],
-            k_min=doc["k_min"],
-            fit_rmse=doc["fit_rmse"],
-            n_points=doc["n_points"],
-        )
+        return CalibrationModel(**{f.name: doc[f.name] for f in fields(CalibrationModel)})
     except KeyError as exc:
         raise FormatError(f"{path}: missing model key {exc}") from exc
     except ParameterError as exc:

@@ -49,6 +49,8 @@ class EvictionPolicy:
             raise ParameterError(f"unknown policy kind {self.kind!r}")
         rs = self.retention
         per_layer = isinstance(rs, (tuple, list))
+        if per_layer and not rs:
+            raise ParameterError("per-layer retention list is empty")
         for r in rs if per_layer else (rs,):
             _check_field("retention", r, "real")
             if not 0.0 < r <= 1.0:
@@ -129,9 +131,8 @@ def _topk_with_window(s: ScoreVector, r: float, window: int) -> np.ndarray:
 
 
 def _effective_sketch(spec: SketchSpec, d: int, layer: int, head: int) -> SketchSpec:
-    """Per-head sketch: seed derived from the root, k capped at the column budget."""
-    cap = d if spec.kind == "gaussian" else next_pow2(d)
-    k = min(spec.target_dim, cap) if spec.kind != "none" else spec.target_dim
+    """Per-head sketch: seed derived from the root, k the width leverage runs on ("none" runs on all d)."""
+    k = d if spec.kind == "none" else min(spec.target_dim, d if spec.kind == "gaussian" else next_pow2(d))
     return SketchSpec(kind=spec.kind, target_dim=k, seed=child_seed(spec.seed, layer, head))
 
 

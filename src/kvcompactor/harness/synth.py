@@ -38,12 +38,8 @@ class SynthProfile:
             raise ParameterError("N and d must be >= 1")
         if self.kind == "low_rank_plus_noise" and not 1 <= self.rank <= self.d:
             raise ParameterError(f"rank must be in [1, d], got {self.rank}")
-        if self.rank > self.d:
-            raise ParameterError(f"rank {self.rank} exceeds d {self.d}")
         if self.kind == "needle" and not 1 <= self.needle_count < min(self.N, self.d):
             raise ParameterError("needle_count must be in [1, min(N, d))")
-        if self.needle_count >= self.N:
-            raise ParameterError("needle_count must be < N")
         if self.noise_sigma < 0:
             raise ParameterError("noise_sigma must be >= 0")
         if self.seed < 0:

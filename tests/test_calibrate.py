@@ -32,6 +32,10 @@ def curve_triples(alpha, beta, rs, nlls, noise=0.0, seed=0):
     return out
 
 
+def pinned_triples():
+    return curve_triples(0.2, 1.0, np.linspace(0.05, 1.0, 20), (1.0, 2.0, 3.0), noise=0.02, seed=0)
+
+
 class TestCurve:
     def test_endpoints_exact(self):
         model = CalibrationModel(alpha=0.4, beta=0.7)
@@ -184,6 +188,31 @@ class TestFit:
         with pytest.raises(ParameterError):
             fit_calibration(curve_triples(0.2, 1.0, (0.2, 0.8), (1.0,)), under_penalty=0.5)
 
+    # Recorded results on one noisy set. rel_tol 1e-9 tolerates another BLAS's
+    # last ulp but not a different start choice or stopping rule.
+    @pytest.mark.parametrize(
+        "penalty, alpha, beta, rmse",
+        [
+            (1.0, 0.17553342962913143, 1.0172953389740933, 0.017746263263274584),
+            (4.0, 0.14725717948095254, 1.1765392293048247, 0.019845161125381764),
+        ],
+    )
+    def test_pinned_fit(self, penalty, alpha, beta, rmse):
+        model = fit_calibration(pinned_triples(), under_penalty=penalty)
+        assert math.isclose(model.alpha, alpha, rel_tol=1e-9)
+        assert math.isclose(model.beta, beta, rel_tol=1e-9)
+        assert math.isclose(model.fit_rmse, rmse, rel_tol=1e-9)
+        assert (model.k_min, model.n_points) == (1e-3, 60)
+
+    def test_pinned_partial_model(self):
+        with pytest.raises(ConvergenceError, match="no start converged within 1 iterations") as info:
+            fit_calibration(pinned_triples(), max_iter=1)
+        model = info.value.model
+        assert math.isclose(model.alpha, 0.13472786001911657, rel_tol=1e-9)
+        assert math.isclose(model.beta, 1.1522405379925194, rel_tol=1e-9)
+        assert math.isclose(model.fit_rmse, 0.018536424834094945, rel_tol=1e-9)
+        assert (model.k_min, model.n_points) == (1e-3, 60)
+
 
 class TestTriplesCsv:
     def test_happy_path(self, tmp_path):
@@ -222,6 +251,21 @@ class TestModelJson:
         path = tmp_path / "m.json"
         save_model(model, path)
         assert load_model(path) == model
+
+    def test_exact_text(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(CalibrationModel(alpha=0.21, beta=1.3, k_min=1e-3, fit_rmse=0.004, n_points=27), path)
+        assert path.read_text() == (
+            '{\n "alpha": 0.21,\n "beta": 1.3,\n "k_min": 0.001,\n "fit_rmse": 0.004,\n "n_points": 27\n}\n'
+        )
+
+    def test_loaded_k_min_kept(self, tmp_path):
+        # the fit always clamps at 1e-3; a model file may carry its own floor
+        path = tmp_path / "m.json"
+        path.write_text('{"alpha": -1.0, "beta": 0.5, "k_min": 0.25, "fit_rmse": 0.0, "n_points": 0}')
+        model = load_model(path)
+        assert model.k_min == 0.25
+        assert invert_retention(10.0, 0.5, model) == invert_retention(10.0, 0.5, CalibrationModel(0.0, 0.25))
 
     def test_missing_key(self, tmp_path):
         path = tmp_path / "m.json"

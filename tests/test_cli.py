@@ -162,6 +162,18 @@ class TestPipeline:
         assert code == 2
         assert err.startswith("error:") and str(path) in err
 
+    def test_empty_layer_retention_is_input_error(self, tmp_path, capsys, bundle_path):
+        policy = write_policy(tmp_path / "p.json", retention=[])
+        code, _, err = run(capsys, "evict", "--bundle", bundle_path, "--policy", policy, "--out", tmp_path / "x")
+        assert code == 2
+        assert err.startswith("error:") and str(policy) in err and "empty" in err
+
+    def test_synth_single_row_without_needles(self, tmp_path, capsys):
+        # the default --needles 1 only constrains needle profiles
+        code, out, _ = run(capsys, "synth", "--profile", "gaussian_iid", "--n", 1, "--d", 4, "--out", tmp_path / "b.kvt")
+        assert code == 0
+        assert "N=1 d=4" in out
+
     def test_plan_head_counts_differ_is_input_error(self, tmp_path, capsys):
         bundle = tmp_path / "b.kvt"
         code, _, _ = run(

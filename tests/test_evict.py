@@ -211,6 +211,26 @@ class TestCompressBundle:
         assert plan.metadata["effective_sketch_k"] == 32  # capped at head_dim
         assert plan.policy_name == "compactor"
 
+    @pytest.mark.parametrize(
+        "kind, k, d, recorded",
+        [
+            ("none", 64, 16, 16),
+            ("none", 8, 16, 16),
+            ("gaussian", 64, 12, 12),
+            ("gaussian", 8, 16, 8),
+            ("srht", 64, 12, 16),
+            ("srht", 8, 16, 8),
+        ],
+    )
+    def test_effective_sketch_k_is_the_width_used(self, kind, k, d, recorded):
+        bundle = synth_bundle(SynthProfile(kind="gaussian_iid", N=50, d=d, seed=6))
+        plan = compress_bundle(bundle, EvictionPolicy(kind="leverage_only", retention=0.3, sketch=SketchSpec(kind, k)))
+        assert plan.metadata["effective_sketch_k"] == recorded
+        if kind == "none":
+            # the unsketched leverage reads every column whatever k says
+            exact = compress_bundle(bundle, EvictionPolicy(kind="leverage_only", retention=0.3, sketch=SketchSpec(kind, d)))
+            assert plan.retained == exact.retained
+
     @pytest.mark.parametrize("sketch", [SketchSpec("gaussian", 64, seed=5), SketchSpec("srht", 64, seed=5)])
     def test_float32_plan_equals_float64_plan(self, sketch):
         # bundles score in float32; the same values in float64 must retain the same tokens
@@ -249,3 +269,10 @@ class TestPolicySerialization:
             EvictionPolicy(kind="compactor", retention=0.0)
         with pytest.raises(ParameterError):
             EvictionPolicy(kind="compactor", retention=0.5, lam=-0.1)
+
+    def test_empty_per_layer_retention_rejected(self):
+        with pytest.raises(ParameterError, match="empty"):
+            EvictionPolicy(kind="compactor", retention=())
+        doc = EvictionPolicy(kind="compactor", retention=0.5).to_json_dict()
+        with pytest.raises(ParameterError, match="empty"):
+            EvictionPolicy.from_json_dict({**doc, "retention": []})

@@ -71,6 +71,12 @@ class TestSynth:
             SynthProfile(kind="gaussian_iid", N=10, d=4, noise_sigma=-1.0)
 
 
+    def test_fields_checked_only_for_their_kind(self):
+        # needle_count constrains only needle profiles, rank only low-rank ones
+        assert synth_bundle(SynthProfile("gaussian_iid", N=1, d=4)).seq_len == 1
+        assert synth_bundle(SynthProfile("clustered", N=4, d=2, rank=3)).head_dim == 2
+
+
 class TestVerifySpectral:
     def test_all_rows_deterministic_case(self):
         # orthogonal K, every row taken once with its exact weight: the
