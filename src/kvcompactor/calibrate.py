@@ -164,8 +164,7 @@ def fit_calibration(triples, under_penalty: float = 4.0, max_iter: int = 200) ->
     the lowest-objective run.
     """
     triples = list(triples)
-    if under_penalty < 1.0:
-        raise ParameterError(f"under_penalty must be >= 1, got {under_penalty}")
+    _check_field("under_penalty", under_penalty, "real", 1.0)
     rs = np.array([t.r for t in triples])
     if rs.size < 2 or np.unique(rs).size < 2:
         raise DegenerateFitError("need at least 2 triples with 2 distinct retention rates")

@@ -182,15 +182,21 @@ def head_scores(
     return a
 
 
-def _head_indices(policy: EvictionPolicy, ht: HeadTensors, layer: int, head: int, r: float):
-    """Sorted retained indices of one head: seeded sample, top-k, or snapkv's top-k plus its window."""
-    n = ht.keys.shape[0]
+def _select(policy: EvictionPolicy, s: Optional[ScoreVector], n: int, r: float, layer: int, head: int):
+    """Sorted retained indices of an n-token head from its scores s (None for random), by the policy's rule."""
     if policy.kind == "random":
         return random_eviction(n, r, child_seed(policy.seed, layer, head))
-    s = head_scores(policy, ht.keys_prerope, ht.keys, ht.values, ht.queries, layer, head)
     if policy.kind == "snapkv" and policy.attn.snap_keep_window:
-        return _topk_with_window(s, r, min(policy.attn.baseline_window, n))
+        return _topk_with_window(s, r, policy.attn.baseline_window)
     return select_topk(s, r)
+
+
+def _head_indices(policy: EvictionPolicy, ht: HeadTensors, layer: int, head: int, r: float):
+    """Sorted retained indices of one head: its scores, then _select."""
+    s = None
+    if policy.kind != "random":
+        s = head_scores(policy, ht.keys_prerope, ht.keys, ht.values, ht.queries, layer, head)
+    return _select(policy, s, ht.keys.shape[0], r, layer, head)
 
 
 def compress_bundle(bundle: KVBundle, policy: EvictionPolicy) -> RetentionPlan:

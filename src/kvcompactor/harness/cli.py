@@ -162,13 +162,17 @@ def _cmd_calib_plan(args):
 
 
 def _cmd_verify_thm1(args):
+    # an explicit k does not depend on c: one run, written with c blank
+    if args.k is not None:
+        runs = [(None, args.k)]
+    else:
+        runs = [(c, sample_size(args.d, args.epsilon, args.delta, c)) for c in args.c_values]
     rows = []
-    for c in args.c_values:
-        k = args.k if args.k is not None else sample_size(args.d, args.epsilon, args.delta, c)
+    for c, k in runs:
         rec = verify_spectral(args.n, args.d, k, args.trials, args.epsilon, args.delta, args.seed)
         rec["c"] = c
         rows.append(rec)
-        print(f"c={c}: k={k} success_rate={rec['success_rate']:.3f}")
+        print(("" if c is None else f"c={c}: ") + f"k={k} success_rate={rec['success_rate']:.3f}")
     report.write_csv(
         args.out,
         rows,
@@ -281,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "epsilon", type=float, default=0.5)
     _add(p, "delta", type=float, default=0.1)
     _add(p, "trials", type=int, default=50)
-    _add(p, "k", type=int, default=None)
+    _add(p, "k", type=int, default=None, help="sample size; one run in place of one per --c-values entry")
     _add(p, "c-values", type=_floats, default=[1.0, 2.0, 4.0, 8.0], dest="c_values")
     _add(p, "seed", type=int, default=0)
     _add(p, "out", required=True)

@@ -1,11 +1,9 @@
 """Policy comparison sweeps over retention rates on one bundle."""
 
-from dataclasses import replace
-
 import numpy as np
 
 from ..errors import ParameterError
-from ..evict import compress_bundle, head_scores, select_topk
+from ..evict import _select, head_scores, select_topk
 from ..kvstore import KVBundle
 from ..leverage import exact_leverage
 
@@ -16,54 +14,48 @@ def sweep_policies(bundle: KVBundle, policies, r_list, needle_indices=None) -> l
     Each row reports the mean per-head overlap of the retained set with the
     exact-leverage top-k, whether every planted needle survived (when
     ``needle_indices`` is given), and quantiles of the head-0 score
-    distribution (NaN for the score-free random policy).
+    distribution (NaN for the score-free random policy). Each (policy, head)
+    is scored once, then selected at every rate by compress_bundle's per-head
+    rule, so one policy's L×H float64 score vectors are held at a time.
     """
     policies = list(policies)
     r_list = list(r_list)
     if not policies or not r_list:
         raise ParameterError("need at least one policy and one retention rate")
-    if any(not 0.0 < r <= 1.0 for r in r_list):
+    if any(isinstance(r, bool) or not 0.0 < r <= 1.0 for r in r_list):
         raise ParameterError("retention rates must be in (0, 1]")
     needles = None if needle_indices is None else set(np.asarray(needle_indices, dtype=np.int64).tolist())
+    heads = [(l, h, bundle.head(l, h)) for l in range(bundle.n_layers) for h in range(bundle.n_kv_heads)]
 
-    # exact leverage depends on neither the policy nor r: one computation per head
-    exact_top = {}
+    # exact leverage depends on neither the policy nor r: one computation per head, one top-k list per rate
+    exact_top = [[] for _ in r_list]
     if bundle.has_prerope:
-        for l in range(bundle.n_layers):
-            for h in range(bundle.n_kv_heads):
-                ell = exact_leverage(bundle.head(l, h).keys_prerope).scores
-                for r in r_list:
-                    exact_top[l, h, r] = set(select_topk(ell, r).tolist())
+        for _, _, ht in heads:
+            ell = exact_leverage(ht.keys_prerope).scores
+            for top, r in zip(exact_top, r_list):
+                top.append(set(select_topk(ell, r).tolist()))
 
     rows = []
     for p_idx, policy in enumerate(policies):
-        # scores do not depend on r either: head (0, 0) is scored once per policy
         if policy.kind == "random":
+            scores = [None] * len(heads)
             q10 = q50 = q90 = float("nan")
         else:
-            ht = bundle.head(0, 0)
-            s = head_scores(policy, ht.keys_prerope, ht.keys, ht.values, ht.queries, 0, 0)
-            q10, q50, q90 = (float(q) for q in np.quantile(s.scores, (0.1, 0.5, 0.9)))
-        for r in r_list:
-            plan = compress_bundle(bundle, replace(policy, retention=r))
-            overlaps = []
-            needle_ok = True
-            for l in range(bundle.n_layers):
-                for h in range(bundle.n_kv_heads):
-                    kept = set(plan.retained[l][h])
-                    if bundle.has_prerope:
-                        ref = exact_top[l, h, r]
-                        overlaps.append(len(kept & ref) / len(ref))
-                    if needles is not None and not needles <= kept:
-                        needle_ok = False
+            scores = [head_scores(policy, ht.keys_prerope, ht.keys, ht.values, ht.queries, l, h) for l, h, ht in heads]
+            q10, q50, q90 = (float(q) for q in np.quantile(scores[0].scores, (0.1, 0.5, 0.9)))
+        for r, top in zip(r_list, exact_top):
+            kept = [
+                set(_select(policy, s, ht.keys.shape[0], float(r), l, h).tolist()) for (l, h, ht), s in zip(heads, scores)
+            ]
+            overlaps = [len(k & ref) / len(ref) for k, ref in zip(kept, top)]
             rows.append(
                 {
                     "policy_index": p_idx,
                     "policy": policy.kind,
                     "r": r,
-                    "retained_per_head": len(plan.retained[0][0]),
+                    "retained_per_head": len(kept[0]),
                     "exact_leverage_overlap": float(np.mean(overlaps)) if overlaps else float("nan"),
-                    "needle_retained": int(needle_ok) if needles is not None else "",
+                    "needle_retained": int(all(needles <= k for k in kept)) if needles is not None else "",
                     "score_q10": q10,
                     "score_q50": q50,
                     "score_q90": q90,

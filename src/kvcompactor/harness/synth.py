@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ParameterError
+from ..errors import ParameterError, _check_field
 from ..evict import child_seed
 from ..kvstore import KVBundle
 
@@ -34,16 +34,13 @@ class SynthProfile:
     def __post_init__(self):
         if self.kind not in SYNTH_KINDS:
             raise ParameterError(f"unknown profile kind {self.kind!r}")
-        if self.N < 1 or self.d < 1:
-            raise ParameterError("N and d must be >= 1")
+        for name, low in (("N", 1), ("d", 1), ("rank", 0), ("needle_count", 0), ("seed", 0)):
+            _check_field(name, getattr(self, name), "int", low)
+        _check_field("noise_sigma", self.noise_sigma, "real", 0)
         if self.kind == "low_rank_plus_noise" and not 1 <= self.rank <= self.d:
             raise ParameterError(f"rank must be in [1, d], got {self.rank}")
         if self.kind == "needle" and not 1 <= self.needle_count < min(self.N, self.d):
             raise ParameterError("needle_count must be in [1, min(N, d))")
-        if self.noise_sigma < 0:
-            raise ParameterError("noise_sigma must be >= 0")
-        if self.seed < 0:
-            raise ParameterError("seed must be a non-negative integer")
 
 
 def planted_needles(profile: SynthProfile) -> np.ndarray:

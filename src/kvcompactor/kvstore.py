@@ -304,7 +304,7 @@ class RetentionPlan:
 
 
 def save_plan(plan: RetentionPlan, path) -> None:
-    """Write a plan as a JSON document; load_plan(save_plan(p)) == p."""
+    """Write a plan as a one-line JSON document; load_plan(save_plan(p)) == p."""
     target = plan.retention_target
     doc = {
         "version": PLAN_VERSION,
@@ -314,9 +314,9 @@ def save_plan(plan: RetentionPlan, path) -> None:
         "layers": [[list(head) for head in layer] for layer in plan.retained],
         "metadata": dict(plan.metadata),
     }
+    # one json.dumps call runs the C encoder; indent or a streaming dump would use the Python one
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
 def load_plan(path) -> RetentionPlan:

@@ -188,6 +188,11 @@ class TestFit:
         with pytest.raises(ParameterError):
             fit_calibration(curve_triples(0.2, 1.0, (0.2, 0.8), (1.0,)), under_penalty=0.5)
 
+    @pytest.mark.parametrize("penalty", [float("nan"), float("inf"), True])
+    def test_non_finite_or_bool_penalty(self, penalty):
+        with pytest.raises(ParameterError):
+            fit_calibration(curve_triples(0.2, 1.0, (0.2, 0.8), (1.0,)), under_penalty=penalty)
+
     # Recorded results on one noisy set. rel_tol 1e-9 tolerates another BLAS's
     # last ulp but not a different start choice or stopping rule.
     @pytest.mark.parametrize(

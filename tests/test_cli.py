@@ -273,6 +273,15 @@ class TestVerifyCli:
         rows = list(csv.DictReader(out.open()))
         assert [row["c"] for row in rows] == ["1.0", "4.0"]
 
+    def test_thm1_explicit_k_runs_once(self, tmp_path, capsys):
+        # k does not depend on c, so --k gives one run and one row with c blank
+        out = tmp_path / "thm1.csv"
+        code, stdout, _ = run(capsys, "verify", "thm1", "--n", 200, "--d", 8, "--k", 40, "--trials", 3, "--out", out)
+        assert code == 3
+        rows = list(csv.DictReader(out.open()))
+        assert [(row["c"], row["k"]) for row in rows] == [("", "40")]
+        assert stdout.count("success_rate") == 1
+
     def test_thm2_exit_three(self, tmp_path, capsys):
         out = tmp_path / "thm2.csv"
         code, stdout, _ = run(

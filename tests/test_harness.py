@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from kvcompactor import EvictionPolicy, evict, exact_leverage
+from kvcompactor import AttnScoreConfig, EvictionPolicy, compress_bundle, evict, exact_leverage
 from kvcompactor.errors import ParameterError
 from kvcompactor.harness import (
     SynthProfile,
@@ -70,6 +72,25 @@ class TestSynth:
         with pytest.raises(ParameterError):
             SynthProfile(kind="gaussian_iid", N=10, d=4, noise_sigma=-1.0)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"N": 2.5},
+            {"d": 4.0},
+            {"N": True},
+            {"seed": 1.5},
+            {"seed": -1},
+            {"rank": 1.5},
+            {"needle_count": 1.0},
+            {"noise_sigma": float("nan")},
+            {"noise_sigma": float("inf")},
+            {"noise_sigma": True},
+        ],
+    )
+    def test_field_types(self, field):
+        for kind in ("gaussian_iid", "clustered"):
+            with pytest.raises(ParameterError):
+                SynthProfile(**{"kind": kind, "N": 10, "d": 4, **field})
 
     def test_fields_checked_only_for_their_kind(self):
         # needle_count constrains only needle profiles, rank only low-rank ones
@@ -217,3 +238,42 @@ class TestSweep:
         rows = sweep_policies(bundle, policies, [0.2, 0.5, 1.0])
         assert len(rows) == 6
         assert len(calls) == bundle.n_layers * bundle.n_kv_heads
+
+    def test_each_policy_head_scored_once(self, monkeypatch):
+        from kvcompactor.harness import sweep
+
+        calls = []
+        original = evict.head_scores
+
+        def counting(*args):
+            calls.append(args[-2:])
+            return original(*args)
+
+        monkeypatch.setattr(evict, "head_scores", counting)
+        monkeypatch.setattr(sweep, "head_scores", counting)
+        bundle = synth_bundle(SynthProfile(kind="gaussian_iid", N=64, d=8, seed=4), n_layers=2, n_kv_heads=2)
+        policies = [EvictionPolicy(kind="compactor", retention=0.5), EvictionPolicy(kind="random", retention=0.5)]
+        rows = sweep_policies(bundle, policies, [0.2, 0.5, 1.0])
+        assert len(rows) == 6
+        assert sorted(calls) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def test_rows_match_compress_bundle(self):
+        profile = SynthProfile(kind="needle", N=128, d=16, needle_count=2, noise_sigma=0.1, seed=3)
+        bundle, needles = synth_bundle(profile, n_layers=2, n_kv_heads=2), set(planted_needles(profile).tolist())
+        attn = AttnScoreConfig(chunk_size=32, baseline_window=8)
+        policies = [EvictionPolicy(kind=kind, retention=0.5, attn=attn) for kind in evict.POLICY_KINDS]
+        policies.append(EvictionPolicy(kind="snapkv", retention=0.5, attn=replace(attn, snap_keep_window=False)))
+        r_list = [0.05, 0.3, 0.9]
+        rows = sweep_policies(bundle, policies, r_list, needle_indices=sorted(needles))
+        heads = [(l, h) for l in range(2) for h in range(2)]
+        exact = {lh: exact_leverage(bundle.head(*lh).keys_prerope).scores for lh in heads}
+        for row in rows:
+            plan = compress_bundle(bundle, replace(policies[row["policy_index"]], retention=row["r"]))
+            kept = {(l, h): set(plan.retained[l][h]) for l, h in heads}
+            refs = {lh: set(evict.select_topk(exact[lh], row["r"]).tolist()) for lh in heads}
+            assert row["retained_per_head"] == len(plan.retained[0][0])
+            assert row["needle_retained"] == int(all(needles <= kept[lh] for lh in heads))
+            assert row["exact_leverage_overlap"] == float(
+                np.mean([len(kept[lh] & refs[lh]) / len(refs[lh]) for lh in heads])
+            )
+        assert len(rows) == len(policies) * len(r_list)

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -173,6 +174,26 @@ class TestRetentionPlan:
         path = tmp_path / "plan.json"
         save_plan(plan, path)
         assert load_plan(path) == plan
+
+    def test_written_as_one_line_json(self, tmp_path):
+        plan = RetentionPlan(
+            retained=(((0, 2, 5), (1, 3, 4)),),
+            retention_target=0.3,
+            policy_name="compactor",
+            seed=7,
+            metadata={"sketch": {"kind": "gaussian", "k": 64, "seed": 7}, "scale": 0.1},
+        )
+        path = tmp_path / "plan.json"
+        save_plan(plan, path)
+        doc = {
+            "version": 1,
+            "retention_target": 0.3,
+            "policy_name": "compactor",
+            "seed": 7,
+            "layers": [[[0, 2, 5], [1, 3, 4]]],
+            "metadata": {"sketch": {"kind": "gaussian", "k": 64, "seed": 7}, "scale": 0.1},
+        }
+        assert path.read_text(encoding="utf-8") == json.dumps(doc) + "\n"
 
     def test_per_layer_targets_round_trip(self, tmp_path):
         plan = RetentionPlan(
