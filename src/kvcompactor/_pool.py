@@ -1,0 +1,80 @@
+"""Run independent per-head tasks on one thread per usable core.
+
+numpy's elementwise kernels are single-threaded and each head's GEMMs are
+too small for a second BLAS thread to pay, so heads run side by side on a
+thread pool instead. While the pool runs, the loaded OpenBLAS is held to
+one thread, else its workers spin on the cores the pool needs; the old
+count is restored afterwards. Without OpenBLAS, or with one usable core,
+the tasks run in order on the calling thread.
+"""
+
+import ctypes
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+# (setter, getter) pairs: numpy's bundled 64-bit-index build, then a plain OpenBLAS
+_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+# the BLAS thread count is process-wide: pools that overlap share one pin, and the last to leave restores it
+_PIN_LOCK = threading.Lock()
+_pin = {"depth": 0, "saved": 0}
+
+
+def _cores() -> int:
+    """Cores this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+@functools.cache  # numpy, imported with this package, has loaded its BLAS already
+def _openblas():
+    """(set, get) thread-count functions of the loaded OpenBLAS, or None."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line})
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for set_name, get_name in _SYMBOLS:
+            set_fn, get_fn = getattr(lib, set_name, None), getattr(lib, get_name, None)
+            if set_fn is not None and get_fn is not None:
+                set_fn.argtypes, set_fn.restype = [ctypes.c_int], None
+                get_fn.argtypes, get_fn.restype = [], ctypes.c_int
+                return set_fn, get_fn
+    return None
+
+
+def map_heads(fn, items) -> list:
+    """[fn(x) for x in items], run on min(usable cores, len(items)) threads, in input order.
+
+    The first task in input order that raises re-raises here, after the
+    running tasks finish and the ones not yet started are cancelled.
+    """
+    items = list(items)
+    try:
+        workers = min(_cores(), len(items))
+        blas = _openblas() if workers > 1 else None
+    except (AttributeError, OSError):  # no sched_getaffinity or no /proc: not Linux
+        blas = None
+    if blas is None:
+        return [fn(x) for x in items]
+    set_threads, get_threads = blas
+    with _PIN_LOCK:
+        if _pin["depth"] == 0:
+            _pin["saved"] = get_threads()
+            set_threads(1)
+        _pin["depth"] += 1
+    try:
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(fn, x) for x in items]
+            try:
+                return [f.result() for f in futures]
+            finally:
+                for f in futures:
+                    f.cancel()
+    finally:
+        with _PIN_LOCK:
+            _pin["depth"] -= 1
+            if _pin["depth"] == 0:
+                set_threads(_pin["saved"])

@@ -21,7 +21,9 @@ not already C-contiguous in that dtype (a bundle's heads never are
 copied). A non-causal block is chunk_size x chunk_size. The causal
 baselines score query rows [s, e) against only the e keys those rows can
 see, in blocks of at most ``_LOGITS_BYTES`` (32 MiB) of logits, or one row
-when a row alone is larger, so that block does not grow with N.
+when a row alone is larger, so that block does not grow with N. Every
+block of a head is computed into one buffer of the largest block's size,
+allocated once, so blocks of varying size leave no freed memory behind.
 
 Mean pooling (centered moving average, edge-truncated) and value-norm
 scaling are separate steps so callers control the post-processing order;
@@ -116,14 +118,15 @@ def _causal_scores(Q, K, cfg: AttnScoreConfig, start: int) -> ScoreVector:
     scale = _scale(cfg, Q.shape[1])
     rows = max(1, _LOGITS_BYTES // (Q.itemsize * max(n, 1)))  # n == 0 reaches ScoreVector's error
     out = np.zeros(n)
+    # one buffer for every block: blocks grow with e, and freed blocks of new sizes would stay with the allocator
+    buf = np.empty(min(rows, n - start) * n, Q.dtype)
     for s in range(start, n, rows):
         e = min(s + rows, n)
-        logits = Q[s:e] @ K[:e].T
+        logits = np.matmul(Q[s:e], K[:e].T, out=buf[: (e - s) * e].reshape(e - s, e))
         logits *= scale
         for i in range(e - s - 1):  # query s + i sees keys 0..s + i
             logits[i, s + i + 1 :] = -np.inf
         _softmax_colsum(logits, out[:e])
-        del logits  # free this block before the next one is computed
     return ScoreVector(out, kind="baseline")
 
 

@@ -18,6 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from ._pool import map_heads
 from .attnscore import AttnScoreConfig, h2o_scores, mean_pool, noncausal_scores, snapkv_scores, value_norm_scale
 from .errors import DataError, ParameterError, _check_field
 from .kvstore import HeadTensors, KVBundle, RetentionPlan, ScoreVector, retained_count
@@ -191,6 +192,15 @@ def _select(policy: EvictionPolicy, s: Optional[ScoreVector], n: int, r: float, 
     return select_topk(s, r)
 
 
+def _map_scoring(policy: EvictionPolicy, fn, items) -> list:
+    """[fn(x) for x in items] over one policy's heads: on the pool, or in order for h2o.
+
+    An h2o head's 32 MiB logits block is the whole process's scoring budget,
+    and its 1024-row GEMMs already keep every BLAS thread busy.
+    """
+    return [fn(x) for x in items] if policy.kind == "h2o" else map_heads(fn, items)
+
+
 def _head_indices(policy: EvictionPolicy, ht: HeadTensors, layer: int, head: int, r: float):
     """Sorted retained indices of one head: its scores, then _select."""
     s = None
@@ -203,8 +213,10 @@ def compress_bundle(bundle: KVBundle, policy: EvictionPolicy) -> RetentionPlan:
     """Score and select every (layer, head) independently; assemble the plan.
 
     A pure function of (bundle, policy), including all seeds, so the plan's
-    ``metadata["policy"]`` alone reproduces it. A policy that needs queries
-    or pre-rope keys the bundle lacks raises DataError from its first head.
+    ``metadata["policy"]`` alone reproduces it, on any number of threads:
+    heads are scored on one thread per usable core, except h2o's, which run
+    in order. A policy that needs queries or pre-rope keys the bundle lacks
+    raises DataError from its first head.
     """
     n_layers, n_heads = bundle.n_layers, bundle.n_kv_heads
     rs = policy.retention
@@ -214,10 +226,12 @@ def compress_bundle(bundle: KVBundle, policy: EvictionPolicy) -> RetentionPlan:
     else:
         rs = (rs,) * n_layers
 
-    layers = [
-        [_head_indices(policy, bundle.head(l, h), l, h, rs[l]).tolist() for h in range(n_heads)]
-        for l in range(n_layers)
-    ]
+    def indices(lh):
+        l, h = lh
+        return _head_indices(policy, bundle.head(l, h), l, h, rs[l]).tolist()
+
+    flat = _map_scoring(policy, indices, [(l, h) for l in range(n_layers) for h in range(n_heads)])
+    layers = [flat[l * n_heads : (l + 1) * n_heads] for l in range(n_layers)]
     sketch_meta = _effective_sketch(policy.sketch, bundle.head_dim, 0, 0)
     return RetentionPlan(
         retained=layers,

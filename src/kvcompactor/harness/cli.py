@@ -220,7 +220,7 @@ def _cmd_bench(args):
 def _cmd_sweep(args):
     bundle = load_bundle(args.bundle)
     policies = [_load_policy(p) for p in str(args.policies).split(",") if p]
-    rows = sweep_policies(bundle, policies, args.rs)
+    rows = sweep_policies(bundle, policies, args.rs, needle_indices=args.needles)
     report.write_csv(args.out, rows)
     print(f"wrote {args.out}: {len(rows)} rows")
     return EXIT_OK
@@ -315,6 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "bundle", required=True)
     _add(p, "policies", required=True, help="comma-separated policy JSON paths")
     _add(p, "rs", type=_floats, required=True)
+    _add(p, "needles", type=_ints, default=None, help="comma-separated planted token positions (fills needle_retained)")
     _add(p, "out", required=True)
     p.set_defaults(func=_cmd_sweep)
 

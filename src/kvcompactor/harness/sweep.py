@@ -1,11 +1,19 @@
 """Policy comparison sweeps over retention rates on one bundle."""
 
+from functools import partial
+
 import numpy as np
 
 from ..errors import ParameterError
-from ..evict import _select, head_scores, select_topk
+from .._pool import map_heads
+from ..evict import _map_scoring, _select, head_scores, select_topk
 from ..kvstore import KVBundle
 from ..leverage import exact_leverage
+
+
+def _score(policy, head):
+    l, h, ht = head
+    return head_scores(policy, ht.keys_prerope, ht.keys, ht.values, ht.queries, l, h)
 
 
 def sweep_policies(bundle: KVBundle, policies, r_list, needle_indices=None) -> list:
@@ -15,8 +23,9 @@ def sweep_policies(bundle: KVBundle, policies, r_list, needle_indices=None) -> l
     exact-leverage top-k, whether every planted needle survived (when
     ``needle_indices`` is given), and quantiles of the head-0 score
     distribution (NaN for the score-free random policy). Each (policy, head)
-    is scored once, then selected at every rate by compress_bundle's per-head
-    rule, so one policy's L×H float64 score vectors are held at a time.
+    is scored once, on compress_bundle's thread pool and in its head order,
+    then selected at every rate by compress_bundle's per-head rule, so one
+    policy's L×H float64 score vectors are held at a time.
     """
     policies = list(policies)
     r_list = list(r_list)
@@ -25,13 +34,15 @@ def sweep_policies(bundle: KVBundle, policies, r_list, needle_indices=None) -> l
     if any(isinstance(r, bool) or not 0.0 < r <= 1.0 for r in r_list):
         raise ParameterError("retention rates must be in (0, 1]")
     needles = None if needle_indices is None else set(np.asarray(needle_indices, dtype=np.int64).tolist())
+    n_min = int(bundle.seq_lens.min())
+    if needles and not 0 <= min(needles) <= max(needles) < n_min:
+        raise ParameterError(f"needle positions must lie in [0, {n_min}), got {sorted(needles)}")
     heads = [(l, h, bundle.head(l, h)) for l in range(bundle.n_layers) for h in range(bundle.n_kv_heads)]
 
     # exact leverage depends on neither the policy nor r: one computation per head, one top-k list per rate
     exact_top = [[] for _ in r_list]
     if bundle.has_prerope:
-        for _, _, ht in heads:
-            ell = exact_leverage(ht.keys_prerope).scores
+        for ell in map_heads(lambda head: exact_leverage(head[2].keys_prerope).scores, heads):
             for top, r in zip(exact_top, r_list):
                 top.append(set(select_topk(ell, r).tolist()))
 
@@ -41,7 +52,7 @@ def sweep_policies(bundle: KVBundle, policies, r_list, needle_indices=None) -> l
             scores = [None] * len(heads)
             q10 = q50 = q90 = float("nan")
         else:
-            scores = [head_scores(policy, ht.keys_prerope, ht.keys, ht.values, ht.queries, l, h) for l, h, ht in heads]
+            scores = _map_scoring(policy, partial(_score, policy), heads)
             q10, q50, q90 = (float(q) for q in np.quantile(scores[0].scores, (0.1, 0.5, 0.9)))
         for r, top in zip(r_list, exact_top):
             kept = [

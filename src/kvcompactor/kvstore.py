@@ -33,6 +33,7 @@ from typing import Any, Mapping, Optional, Union
 
 import numpy as np
 
+from ._pool import map_heads
 from .errors import DataError, FormatError, ParameterError, PlanMismatchError, TruncationError
 
 _MAGIC = b"KVT1"
@@ -137,6 +138,9 @@ class KVBundle:
         if len(keys) < 1 or len(keys[0]) < 1:
             raise ParameterError("bundle needs at least one layer and one head")
         n_heads, d = len(keys[0]), keys[0][0].shape[1]
+        # the scans run on the pool; the loop below reads them in order, so the first bad matrix is the one named
+        mats = [mat for group in tensors.values() for layer in group for mat in layer]
+        finite = dict(zip(map(id, mats), map_heads(lambda m: bool(np.isfinite(m).all()), mats)))
         for name, group in tensors.items():
             if len(group) != len(keys) or any(len(layer) != n_heads for layer in group):
                 raise ParameterError(f"{name}: expected {len(keys)} layers of {n_heads} heads")
@@ -146,7 +150,7 @@ class KVBundle:
                     want = (k.shape[0], d)
                     if mat.shape != want or min(want) < 1:
                         raise ParameterError(f"{name}[{l}][{h}]: bad shape {mat.shape} (keys give {want}; seq, dim >= 1)")
-                    if not np.isfinite(mat).all():
+                    if not finite[id(mat)]:
                         raise DataError(f"{name}[{l}][{h}]: bundle contains non-finite values")
         for name, _ in _LAYOUT:
             object.__setattr__(self, name, tensors.get(name))
@@ -371,7 +375,15 @@ def apply_plan(bundle: KVBundle, plan: RetentionPlan) -> KVBundle:
         if rows[l][h][-1] >= n:
             raise PlanMismatchError(f"layer {l} head {h}: index {rows[l][h][-1]} out of range for seq_len {n}")
 
-    return KVBundle(**{
-        name: [[m[i] for m, i in zip(layer, picks)] for layer, picks in zip(getattr(bundle, name), rows)]
-        for name, _ in _present(bundle)
-    })
+    # outputs are allocated here, not in the workers, whose per-thread malloc arenas would keep them after use;
+    # "clip" never clips, as every index was range-checked above, and unlike "raise" it writes straight into out
+    d = bundle.head_dim
+    out = {name: [[np.empty((i.size, d), np.float32) for i in picks] for picks in rows] for name, _ in _present(bundle)}
+    gathers = [
+        (src, i, dst)
+        for name, outs in out.items()
+        for layer, picks, dsts in zip(getattr(bundle, name), rows, outs)
+        for src, i, dst in zip(layer, picks, dsts)
+    ]
+    map_heads(lambda g: np.take(g[0], g[1], axis=0, out=g[2], mode="clip"), gathers)
+    return KVBundle(**out)

@@ -345,6 +345,45 @@ class TestBenchSweepCli:
             assert run(capsys, "sweep", "--bundle", bundle_path, "--policies", policy, "--rs", "0.2", "--out", out)[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_sweep_needles_fill_column(self, tmp_path, capsys, monkeypatch):
+        from kvcompactor import load_bundle
+        from kvcompactor.evict import EvictionPolicy
+        from kvcompactor.harness import sweep_policies
+
+        path = tmp_path / "needles.kvt"
+        args = ("--profile", "needle", "--n", 200, "--d", 16, "--needles", 2, "--layers", 2, "--heads", 2)
+        code, out, _ = run(capsys, "synth", *args, "--seed", 5, "--out", path)
+        assert code == 0
+        needles = json.loads(out.split("planted needles at ", 1)[1].splitlines()[0])
+        kinds = ("compactor", "h2o", "random")
+        policies = [write_policy(tmp_path / f"{kind}.json", kind=kind) for kind in kinds]
+        argv = ["sweep", "--bundle", path, "--policies", ",".join(map(str, policies)), "--rs", "0.05,0.5"]
+
+        expected = sweep_policies(
+            load_bundle(path),
+            [EvictionPolicy.from_json_dict(json.loads(p.read_text())) for p in policies],
+            [0.05, 0.5],
+            needle_indices=needles,
+        )
+        flagged, mirrored, plain = tmp_path / "flag.csv", tmp_path / "env.csv", tmp_path / "plain.csv"
+        assert run(capsys, *argv, "--needles", ",".join(map(str, needles)), "--out", flagged)[0] == 0
+        assert run(capsys, *argv, "--out", plain)[0] == 0
+        monkeypatch.setenv("KVC_NEEDLES", ",".join(map(str, needles)))
+        assert run(capsys, *argv, "--out", mirrored)[0] == 0
+
+        column = [row["needle_retained"] for row in csv.DictReader(flagged.open())]
+        assert column == [str(row["needle_retained"]) for row in expected]
+        assert set(column) == {"0", "1"}
+        assert mirrored.read_bytes() == flagged.read_bytes()
+        assert {row["needle_retained"] for row in csv.DictReader(plain.open())} == {""}
+
+    def test_sweep_needle_out_of_range(self, tmp_path, capsys, bundle_path):
+        policy = write_policy(tmp_path / "p.json", kind="random")
+        argv = ["sweep", "--bundle", bundle_path, "--policies", policy, "--rs", "0.5", "--needles", "3,120"]
+        code, _, err = run(capsys, *argv, "--out", tmp_path / "s.csv")
+        assert code == 2
+        assert "needle positions must lie in [0, 120)" in err
+
     def test_env_var_mirror(self, tmp_path, capsys, monkeypatch):
         flagged = tmp_path / "flagged.kvt"
         run(capsys, "synth", "--profile", "gaussian_iid", "--n", 32, "--d", 8, "--seed", 6, "--out", flagged)

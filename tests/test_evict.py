@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 from dataclasses import astuple
 
 import numpy as np
@@ -6,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvcompactor import (
+    POLICY_KINDS,
     AttnScoreConfig,
     EvictionPolicy,
+    KVBundle,
     ScoreVector,
     SketchSpec,
     blend_scores,
@@ -19,6 +24,7 @@ from kvcompactor import (
     select_topk,
     value_norm_scale,
 )
+from kvcompactor import _pool, evict
 from kvcompactor.errors import DataError, ParameterError
 from kvcompactor.evict import _head_indices
 from kvcompactor.harness import SynthProfile, planted_needles, synth_bundle
@@ -244,6 +250,132 @@ class TestCompressBundle:
                 ht64 = HeadTensors(*(None if m is None else m.astype(np.float64) for m in astuple(ht)))
                 assert list(plan.retained[l][h]) == _head_indices(policy, ht64, l, h, 0.2).tolist()
                 assert set(planted_needles(profile)) <= set(plan.retained[l][h])
+
+
+def _blas():
+    """(set, get) of the loaded OpenBLAS's thread count, or None."""
+    try:
+        return _pool._openblas()
+    except OSError:
+        return None
+
+
+needs_openblas = pytest.mark.skipif(_blas() is None, reason="thread pinning needs a loaded OpenBLAS")
+
+POOL_ATTN = AttnScoreConfig(chunk_size=32, baseline_window=8)
+POOL_POLICIES = [
+    *(EvictionPolicy(kind=kind, retention=0.2, sketch=SketchSpec("srht", 8, seed=1), attn=POOL_ATTN) for kind in POLICY_KINDS),
+    EvictionPolicy(kind="snapkv", retention=0.2, attn=AttnScoreConfig(chunk_size=32, baseline_window=8, snap_keep_window=False)),
+    EvictionPolicy(kind="compactor", retention=(0.1, 0.4), attn=POOL_ATTN),
+]
+
+
+@pytest.fixture(scope="module")
+def pool_bundle():
+    profile = SynthProfile(kind="needle", N=300, d=16, needle_count=2, noise_sigma=0.1, seed=8)
+    return synth_bundle(profile, n_layers=2, n_kv_heads=3)
+
+
+class TestHeadPool:
+    @pytest.mark.parametrize("policy", POOL_POLICIES, ids=[f"{p.kind}-{i}" for i, p in enumerate(POOL_POLICIES)])
+    def test_plan_independent_of_worker_count(self, monkeypatch, pool_bundle, policy):
+        plans = []
+        for cores in (1, 2):
+            monkeypatch.setattr(_pool, "_cores", lambda cores=cores: cores)
+            plans.append(compress_bundle(pool_bundle, policy))
+        assert plans[0] == plans[1]
+
+    @needs_openblas
+    def test_tasks_overlap_with_blas_at_one_thread(self, monkeypatch):
+        monkeypatch.setattr(_pool, "_cores", lambda: 2)
+        _, get_threads = _blas()
+        before = get_threads()
+        barrier = threading.Barrier(2, timeout=10)
+
+        def task(x):
+            barrier.wait()  # breaks unless two tasks run at once
+            return x, get_threads()
+
+        assert _pool.map_heads(task, range(4)) == [(x, 1) for x in range(4)]
+        assert get_threads() == before
+
+    @needs_openblas
+    def test_overlapping_pools_share_one_pin(self, monkeypatch):
+        monkeypatch.setattr(_pool, "_cores", lambda: 2)
+        _, get_threads = _blas()
+        before, inside, errors = get_threads(), [], []
+
+        def caller():
+            try:
+                for _ in range(20):
+                    assert _pool.map_heads(lambda x: (x, inside.append(get_threads()))[0], range(3)) == [0, 1, 2]
+            except BaseException as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers) and not errors
+        # a pool that restored its own saved count would unpin another that is still running
+        assert inside == [1] * (4 * 20 * 3)
+        assert get_threads() == before
+
+    @needs_openblas
+    def test_h2o_heads_run_in_order_on_the_calling_thread(self, monkeypatch, pool_bundle):
+        monkeypatch.setattr(_pool, "_cores", lambda: 2)
+        _, get_threads = _blas()
+        before, seen = get_threads(), []
+        original = evict.head_scores
+
+        def recording(policy, *args):
+            seen.append((args[-2:], threading.get_ident(), get_threads()))
+            return original(policy, *args)
+
+        monkeypatch.setattr(evict, "head_scores", recording)
+        compress_bundle(pool_bundle, EvictionPolicy(kind="h2o", retention=0.3))
+        assert seen == [((l, h), threading.get_ident(), before) for l in range(2) for h in range(3)]
+
+    @needs_openblas
+    def test_blas_threads_restored(self, monkeypatch, pool_bundle):
+        monkeypatch.setattr(_pool, "_cores", lambda: 2)
+        set_threads, get_threads = _blas()
+        old = get_threads()
+        set_threads(2)  # a count the pool's pin of 1 would visibly leave behind
+        try:
+            compress_bundle(pool_bundle, EvictionPolicy(kind="compactor", retention=0.5))
+            assert get_threads() == 2
+            no_queries = KVBundle(keys=pool_bundle.keys, values=pool_bundle.values, keys_prerope=pool_bundle.keys_prerope)
+            with pytest.raises(DataError):
+                compress_bundle(no_queries, EvictionPolicy(kind="compactor", retention=0.5))
+            assert get_threads() == 2
+        finally:
+            set_threads(old)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_first_head_error_raised(self, monkeypatch, pool_bundle, cores):
+        monkeypatch.setattr(_pool, "_cores", lambda: cores)
+        original = evict.head_scores
+
+        def naming(policy, *args):
+            layer, head = args[-2:]
+            if (layer, head) == (0, 0):
+                time.sleep(0.05)  # let later heads fail first
+            try:
+                return original(policy, *args)
+            except DataError as exc:
+                raise DataError(f"head ({layer}, {head}): {exc}") from exc
+
+        monkeypatch.setattr(evict, "head_scores", naming)
+        no_queries = KVBundle(keys=pool_bundle.keys, values=pool_bundle.values, keys_prerope=pool_bundle.keys_prerope)
+        with pytest.raises(DataError, match=r"^head \(0, 0\): snapkv policy needs queries$"):
+            compress_bundle(no_queries, EvictionPolicy(kind="snapkv", retention=0.5))
 
 
 class TestPolicySerialization:

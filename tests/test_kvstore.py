@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kvcompactor import _pool
 from kvcompactor import KVBundle, RetentionPlan, apply_plan, load_bundle, load_plan, retained_count, save_bundle, save_plan
 from kvcompactor.errors import DataError, FormatError, ParameterError, PlanMismatchError, TruncationError
 from kvcompactor.harness.cli import main
@@ -160,6 +161,16 @@ class TestBundleFormat:
         bad = np.full((1, 1, 2, 2), np.inf, dtype=np.float32)
         with pytest.raises(DataError):
             KVBundle(keys=bad, values=bad)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_first_nonfinite_matrix_in_layout_order_named(self, monkeypatch, cores):
+        monkeypatch.setattr(_pool, "_cores", lambda: cores)
+        rng = np.random.default_rng(8)
+        tensors = {name: rng.standard_normal((2, 2, 4, 3)).astype(np.float32) for name in ("keys_prerope", "keys", "values", "queries")}
+        tensors["queries"][0, 0, 1, 2] = np.nan
+        tensors["keys_prerope"][1, 1, 0, 0] = np.inf
+        with pytest.raises(DataError, match=r"^keys_prerope\[1\]\[1\]: bundle contains non-finite values$"):
+            KVBundle(**tensors)
 
 
 class TestRetentionPlan:
@@ -356,6 +367,25 @@ class TestApplyPlan:
         out = apply_plan(b, plan)
         assert out.is_ragged
         assert out.seq_lens.tolist() == [[1], [3]]
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_gather_equals_fancy_indexing(self, monkeypatch, cores, ragged):
+        monkeypatch.setattr(_pool, "_cores", lambda: cores)
+        rng = np.random.default_rng(9)
+        b = make_bundle(rng, layers=2, heads=3, n=50, d=4, queries=ragged)
+        sizes = [[5, 5, 5], [20, 20, 20]] if ragged else [[12, 12, 12], [12, 12, 12]]
+        retained = [[sorted(rng.choice(np.arange(1, 49), size=k, replace=False).tolist()) for k in layer] for layer in sizes]
+        retained[0][0][0], retained[0][0][-1] = 0, 49  # both ends of the range
+        plan = RetentionPlan(retained=retained, retention_target=(0.1, 0.4) if ragged else 0.24, policy_name="x")
+        out = apply_plan(b, plan)
+        assert out.is_ragged == ragged and out.has_queries == ragged
+        for name in ("keys_prerope", "keys", "values") + (("queries",) if ragged else ()):
+            for l in range(2):
+                for h in range(3):
+                    got = getattr(out, name)[l][h]
+                    assert got.dtype == np.float32 and not got.flags.writeable
+                    assert np.array_equal(got, getattr(b, name)[l][h][retained[l][h]])
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
