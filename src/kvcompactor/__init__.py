@@ -39,7 +39,7 @@ from .kvstore import (
     save_plan,
 )
 from .leverage import BasisMethod, LeverageResult, approx_leverage, exact_leverage, row_basis
-from .sketch import SketchSpec, apply_sketch, gaussian_sketch, srht_apply
+from .sketch import SketchSpec, apply_sketch, gaussian_sketch
 
 __version__ = "0.1.0"
 
@@ -80,6 +80,5 @@ __all__ = [
     "save_plan",
     "select_topk",
     "snapkv_scores",
-    "srht_apply",
     "value_norm_scale",
 ]

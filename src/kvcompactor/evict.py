@@ -119,37 +119,19 @@ def random_eviction(n: int, r: float, seed: int) -> np.ndarray:
     return np.sort(rng.choice(n, size=k, replace=False))
 
 
-def _topk_with_window(s: ScoreVector, r: float, window: int) -> np.ndarray:
-    """Top-k that always includes the final `window` tokens (snapkv behavior)."""
-    n = len(s)
-    k = retained_count(r, n)
-    w = min(window, k)
-    forced = np.arange(n - w, n)
-    if k == w:
-        return forced
-    top = np.argsort(-s.scores[: n - w], kind="stable")[: k - w]
-    return np.sort(np.concatenate([top, forced]))
-
-
 def _effective_sketch(spec: SketchSpec, d: int, layer: int, head: int) -> SketchSpec:
     """Per-head sketch: seed derived from the root, k the width leverage runs on ("none" runs on all d)."""
     k = d if spec.kind == "none" else min(spec.target_dim, d if spec.kind == "gaussian" else next_pow2(d))
     return SketchSpec(kind=spec.kind, target_dim=k, seed=child_seed(spec.seed, layer, head))
 
 
-def head_scores(
-    policy: EvictionPolicy,
-    keys_prerope: Optional[np.ndarray],
-    keys: np.ndarray,
-    values: np.ndarray,
-    queries: Optional[np.ndarray],
-    layer: int = 0,
-    head: int = 0,
-) -> ScoreVector:
-    """Final score vector for one head under `policy`.
+def head_scores(policy: EvictionPolicy, ht: HeadTensors, layer: int = 0, head: int = 0) -> ScoreVector:
+    """Final score vector of one (layer, head) under `policy`.
 
     Attention scores are computed on the position-embedded keys, outlier
-    scores on the pre-embedding keys. The random policy defines no scores.
+    scores on the pre-embedding keys; (layer, head) seeds the head's sketch.
+    The random policy defines no scores, and a policy that needs queries or
+    pre-rope keys the head lacks raises DataError.
     """
     kind = policy.kind
     cfg = policy.attn
@@ -158,25 +140,25 @@ def head_scores(
 
     o = None
     if kind in ("compactor", "leverage_only"):
-        if keys_prerope is None:
+        if ht.keys_prerope is None:
             raise DataError(f"{kind} policy needs pre-rope keys")
-        spec = _effective_sketch(policy.sketch, keys_prerope.shape[1], layer, head)
-        o = approx_leverage(keys_prerope, spec).scores
+        spec = _effective_sketch(policy.sketch, ht.keys_prerope.shape[1], layer, head)
+        o = approx_leverage(ht.keys_prerope, spec).scores
         if kind == "leverage_only":
             return o
 
-    if queries is None:
+    if ht.queries is None:
         raise DataError(f"{kind} policy needs queries")
     if kind == "h2o":
-        a = h2o_scores(queries, keys, cfg)
+        a = h2o_scores(ht.queries, ht.keys, cfg)
     elif kind == "snapkv":
         # the observation window cannot exceed the context
-        w = min(cfg.baseline_window, keys.shape[0])
-        a = mean_pool(snapkv_scores(queries, keys, replace(cfg, baseline_window=w)), cfg.pool_window)
+        w = min(cfg.baseline_window, ht.keys.shape[0])
+        a = mean_pool(snapkv_scores(ht.queries, ht.keys, replace(cfg, baseline_window=w)), cfg.pool_window)
     else:
-        a = mean_pool(noncausal_scores(queries, keys, cfg), cfg.pool_window)
+        a = mean_pool(noncausal_scores(ht.queries, ht.keys, cfg), cfg.pool_window)
     if cfg.value_norm:
-        a = value_norm_scale(a, values)
+        a = value_norm_scale(a, ht.values)
 
     if kind == "compactor":
         return blend_scores(a, o, policy.lam)
@@ -184,28 +166,40 @@ def head_scores(
 
 
 def _select(policy: EvictionPolicy, s: Optional[ScoreVector], n: int, r: float, layer: int, head: int):
-    """Sorted retained indices of an n-token head from its scores s (None for random), by the policy's rule."""
+    """Sorted retained indices of an n-token head from its scores s (None for random), by the policy's rule.
+
+    snapkv with snap_keep_window keeps the last min(baseline_window, k) tokens
+    first: at +inf they outrank every (finite) score.
+    """
     if policy.kind == "random":
         return random_eviction(n, r, child_seed(policy.seed, layer, head))
     if policy.kind == "snapkv" and policy.attn.snap_keep_window:
-        return _topk_with_window(s, r, policy.attn.baseline_window)
+        v = s.scores.copy()
+        v[n - min(policy.attn.baseline_window, retained_count(r, n)) :] = np.inf
+        return select_topk(v, r)
     return select_topk(s, r)
 
 
-def _map_scoring(policy: EvictionPolicy, fn, items) -> list:
-    """[fn(x) for x in items] over one policy's heads: on the pool, or in order for h2o.
+def _each_head(bundle: KVBundle, fn, policy: Optional[EvictionPolicy] = None) -> list:
+    """[[fn(bundle.head(l, h), l, h) for each head h] for each layer l], on the pool.
 
-    An h2o head's 32 MiB logits block is the whole process's scoring budget,
+    An h2o policy's heads run in order on the calling thread instead: one
+    h2o head's 32 MiB logits block is the whole process's scoring budget,
     and its 1024-row GEMMs already keep every BLAS thread busy.
     """
-    return [fn(x) for x in items] if policy.kind == "h2o" else map_heads(fn, items)
+    n_heads = bundle.n_kv_heads
+
+    def one(lh):
+        return fn(bundle.head(*lh), *lh)
+
+    heads = [(l, h) for l in range(bundle.n_layers) for h in range(n_heads)]
+    flat = [one(lh) for lh in heads] if policy is not None and policy.kind == "h2o" else map_heads(one, heads)
+    return [flat[i : i + n_heads] for i in range(0, len(flat), n_heads)]
 
 
 def _head_indices(policy: EvictionPolicy, ht: HeadTensors, layer: int, head: int, r: float):
     """Sorted retained indices of one head: its scores, then _select."""
-    s = None
-    if policy.kind != "random":
-        s = head_scores(policy, ht.keys_prerope, ht.keys, ht.values, ht.queries, layer, head)
+    s = None if policy.kind == "random" else head_scores(policy, ht, layer, head)
     return _select(policy, s, ht.keys.shape[0], r, layer, head)
 
 
@@ -218,20 +212,14 @@ def compress_bundle(bundle: KVBundle, policy: EvictionPolicy) -> RetentionPlan:
     in order. A policy that needs queries or pre-rope keys the bundle lacks
     raises DataError from its first head.
     """
-    n_layers, n_heads = bundle.n_layers, bundle.n_kv_heads
+    n_layers = bundle.n_layers
     rs = policy.retention
     if isinstance(rs, tuple):
         if len(rs) != n_layers:
             raise ParameterError(f"per-layer retention list has {len(rs)} entries for {n_layers} layers")
     else:
         rs = (rs,) * n_layers
-
-    def indices(lh):
-        l, h = lh
-        return _head_indices(policy, bundle.head(l, h), l, h, rs[l]).tolist()
-
-    flat = _map_scoring(policy, indices, [(l, h) for l in range(n_layers) for h in range(n_heads)])
-    layers = [flat[l * n_heads : (l + 1) * n_heads] for l in range(n_layers)]
+    layers = _each_head(bundle, lambda ht, l, h: _head_indices(policy, ht, l, h, rs[l]).tolist(), policy)
     sketch_meta = _effective_sketch(policy.sketch, bundle.head_dim, 0, 0)
     return RetentionPlan(
         retained=layers,
@@ -243,7 +231,7 @@ def compress_bundle(bundle: KVBundle, policy: EvictionPolicy) -> RetentionPlan:
             "effective_sketch_k": sketch_meta.target_dim,
             "basis": asdict(BasisMethod()),
             "n_layers": n_layers,
-            "n_kv_heads": n_heads,
+            "n_kv_heads": bundle.n_kv_heads,
             "head_dim": bundle.head_dim,
             "seq_lens": bundle.seq_lens.tolist(),
         },

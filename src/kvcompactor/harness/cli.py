@@ -15,10 +15,11 @@ import json
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 
 from .. import calibrate
 from ..errors import CompactorError, DataError, ParameterError
-from ..evict import EvictionPolicy, compress_bundle, head_scores
+from ..evict import EvictionPolicy, _each_head, compress_bundle, head_scores
 from ..kvstore import apply_plan, load_bundle, load_plan, save_bundle, save_plan
 from . import report
 from .bench import bench_scaling
@@ -72,7 +73,7 @@ def _cmd_synth(args):
         N=args.n,
         d=args.d,
         rank=args.rank,
-        needle_count=args.needles,
+        needle_count=args.needle_count,
         noise_sigma=args.noise_sigma,
         seed=args.seed,
     )
@@ -88,15 +89,14 @@ def _cmd_synth(args):
 def _cmd_score(args):
     bundle = load_bundle(args.bundle)
     policy = _load_policy(args.policy)
-
-    def rows():
-        for l in range(bundle.n_layers):
-            for h in range(bundle.n_kv_heads):
-                ht = bundle.head(l, h)
-                s = head_scores(policy, ht.keys_prerope, ht.keys, ht.values, ht.queries, l, h)
-                yield from ({"layer": l, "head": h, "index": i, "score": float(v)} for i, v in enumerate(s.scores))
-
-    report.write_csv(args.out, rows(), ["layer", "head", "index", "score"])
+    scores = _each_head(bundle, partial(head_scores, policy), policy)
+    rows = (
+        {"layer": l, "head": h, "index": i, "score": float(v)}
+        for l, layer in enumerate(scores)
+        for h, s in enumerate(layer)
+        for i, v in enumerate(s.scores)
+    )
+    report.write_csv(args.out, rows, ["layer", "head", "index", "score"])
     print(f"wrote {args.out}: {int(bundle.seq_lens.sum())} scores")
     return EXIT_OK
 
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "n", type=int, required=True)
     _add(p, "d", type=int, required=True)
     _add(p, "rank", type=int, default=0)
-    _add(p, "needles", type=int, default=1)
+    _add(p, "needle-count", type=int, default=1, dest="needle_count")
     _add(p, "noise-sigma", type=float, default=0.0, dest="noise_sigma")
     _add(p, "layers", type=int, default=1)
     _add(p, "heads", type=int, default=1)

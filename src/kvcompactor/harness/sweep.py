@@ -1,19 +1,11 @@
 """Policy comparison sweeps over retention rates on one bundle."""
 
-from functools import partial
-
 import numpy as np
 
 from ..errors import ParameterError
-from .._pool import map_heads
-from ..evict import _map_scoring, _select, head_scores, select_topk
+from ..evict import _each_head, _select, head_scores, select_topk
 from ..kvstore import KVBundle
 from ..leverage import exact_leverage
-
-
-def _score(policy, head):
-    l, h, ht = head
-    return head_scores(policy, ht.keys_prerope, ht.keys, ht.values, ht.queries, l, h)
 
 
 def sweep_policies(bundle: KVBundle, policies, r_list, needle_indices=None) -> list:
@@ -37,27 +29,26 @@ def sweep_policies(bundle: KVBundle, policies, r_list, needle_indices=None) -> l
     n_min = int(bundle.seq_lens.min())
     if needles and not 0 <= min(needles) <= max(needles) < n_min:
         raise ParameterError(f"needle positions must lie in [0, {n_min}), got {sorted(needles)}")
-    heads = [(l, h, bundle.head(l, h)) for l in range(bundle.n_layers) for h in range(bundle.n_kv_heads)]
 
     # exact leverage depends on neither the policy nor r: one computation per head, one top-k list per rate
     exact_top = [[] for _ in r_list]
     if bundle.has_prerope:
-        for ell in map_heads(lambda head: exact_leverage(head[2].keys_prerope).scores, heads):
-            for top, r in zip(exact_top, r_list):
-                top.append(set(select_topk(ell, r).tolist()))
+        exact = _each_head(bundle, lambda ht, l, h: exact_leverage(ht.keys_prerope).scores)
+        exact_top = [[set(select_topk(ell, r).tolist()) for layer in exact for ell in layer] for r in r_list]
 
     rows = []
     for p_idx, policy in enumerate(policies):
+        # what selecting a head at any rate needs: its scores (None for random), N, layer and head
+        def scored(ht, l, h):
+            return None if policy.kind == "random" else head_scores(policy, ht, l, h), ht.keys.shape[0], l, h
+
+        heads = [head for layer in _each_head(bundle, scored, policy) for head in layer]
         if policy.kind == "random":
-            scores = [None] * len(heads)
             q10 = q50 = q90 = float("nan")
         else:
-            scores = _map_scoring(policy, partial(_score, policy), heads)
-            q10, q50, q90 = (float(q) for q in np.quantile(scores[0].scores, (0.1, 0.5, 0.9)))
+            q10, q50, q90 = (float(q) for q in np.quantile(heads[0][0].scores, (0.1, 0.5, 0.9)))
         for r, top in zip(r_list, exact_top):
-            kept = [
-                set(_select(policy, s, ht.keys.shape[0], float(r), l, h).tolist()) for (l, h, ht), s in zip(heads, scores)
-            ]
+            kept = [set(_select(policy, s, n, float(r), l, h).tolist()) for s, n, l, h in heads]
             overlaps = [len(k & ref) / len(ref) for k, ref in zip(kept, top)]
             rows.append(
                 {

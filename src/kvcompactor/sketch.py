@@ -124,10 +124,3 @@ def apply_sketch(K: np.ndarray, spec: SketchSpec) -> np.ndarray:
         raise ParameterError("K must be 2-D")
     phi = _SKETCHES[spec.kind](K.shape[1], spec)
     return K @ (phi.astype(np.float32) if K.dtype == np.float32 else phi)
-
-
-def srht_apply(K: np.ndarray, spec: SketchSpec) -> np.ndarray:
-    """Apply the SRHT right sketch: K @ srht_sketch(d, spec)."""
-    if spec.kind != "srht":
-        raise ParameterError(f"expected an srht spec, got kind={spec.kind!r}")
-    return apply_sketch(K, spec)

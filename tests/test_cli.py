@@ -44,7 +44,7 @@ def write_policy(path, kind="leverage_only", retention=0.5, **overrides):
 def bundle_path(tmp_path, capsys):
     path = tmp_path / "b.kvt"
     code, _, _ = run(
-        capsys, "synth", "--profile", "needle", "--n", 120, "--d", 16, "--needles", 1, "--seed", 3, "--out", path
+        capsys, "synth", "--profile", "needle", "--n", 120, "--d", 16, "--needle-count", 1, "--seed", 3, "--out", path
     )
     assert code == 0
     return path
@@ -82,6 +82,22 @@ class TestPipeline:
         assert len(rows) == 120
         assert {row["layer"] for row in rows} == {"0"}
         float(rows[0]["score"])
+
+    def test_score_csv_matches_head_scores(self, tmp_path, capsys):
+        from kvcompactor import EvictionPolicy, head_scores, load_bundle
+
+        path, policy_path, out = tmp_path / "b.kvt", write_policy(tmp_path / "p.json", kind="compactor"), tmp_path / "s.csv"
+        assert run(capsys, "synth", "--profile", "needle", "--n", 50, "--d", 8, "--layers", 2, "--heads", 2, "--out", path)[0] == 0
+        assert run(capsys, "score", "--bundle", path, "--policy", policy_path, "--out", out)[0] == 0
+        bundle, policy = load_bundle(path), EvictionPolicy.from_json_dict(json.loads(policy_path.read_text()))
+        expected = [
+            (l, h, i, float(v))
+            for l in range(2)
+            for h in range(2)
+            for i, v in enumerate(head_scores(policy, bundle.head(l, h), l, h).scores)
+        ]
+        got = [(int(r["layer"]), int(r["head"]), int(r["index"]), float(r["score"])) for r in csv.DictReader(out.open())]
+        assert got == expected
 
     def test_score_random_policy_rejected(self, tmp_path, capsys, bundle_path):
         policy = write_policy(tmp_path / "p.json", kind="random")
@@ -169,7 +185,7 @@ class TestPipeline:
         assert err.startswith("error:") and str(policy) in err and "empty" in err
 
     def test_synth_single_row_without_needles(self, tmp_path, capsys):
-        # the default --needles 1 only constrains needle profiles
+        # the default --needle-count 1 only constrains needle profiles
         code, out, _ = run(capsys, "synth", "--profile", "gaussian_iid", "--n", 1, "--d", 4, "--out", tmp_path / "b.kvt")
         assert code == 0
         assert "N=1 d=4" in out
@@ -351,7 +367,7 @@ class TestBenchSweepCli:
         from kvcompactor.harness import sweep_policies
 
         path = tmp_path / "needles.kvt"
-        args = ("--profile", "needle", "--n", 200, "--d", 16, "--needles", 2, "--layers", 2, "--heads", 2)
+        args = ("--profile", "needle", "--n", 200, "--d", 16, "--needle-count", 2, "--layers", 2, "--heads", 2)
         code, out, _ = run(capsys, "synth", *args, "--seed", 5, "--out", path)
         assert code == 0
         needles = json.loads(out.split("planted needles at ", 1)[1].splitlines()[0])
@@ -376,6 +392,17 @@ class TestBenchSweepCli:
         assert set(column) == {"0", "1"}
         assert mirrored.read_bytes() == flagged.read_bytes()
         assert {row["needle_retained"] for row in csv.DictReader(plain.open())} == {""}
+
+    def test_needle_count_mirror_leaves_sweep_needles_blank(self, tmp_path, capsys, monkeypatch):
+        # synth's needle count and sweep's needle positions have separate mirrors
+        monkeypatch.setenv("KVC_NEEDLE_COUNT", "3")
+        path, sweep_csv = tmp_path / "b.kvt", tmp_path / "s.csv"
+        code, out, _ = run(capsys, "synth", "--profile", "needle", "--n", 100, "--d", 16, "--out", path)
+        assert code == 0
+        assert len(json.loads(out.split("planted needles at ", 1)[1].splitlines()[0])) == 3
+        policy = write_policy(tmp_path / "p.json", kind="compactor")
+        assert run(capsys, "sweep", "--bundle", path, "--policies", policy, "--rs", "0.5", "--out", sweep_csv)[0] == 0
+        assert {row["needle_retained"] for row in csv.DictReader(sweep_csv.open())} == {""}
 
     def test_sweep_needle_out_of_range(self, tmp_path, capsys, bundle_path):
         policy = write_policy(tmp_path / "p.json", kind="random")

@@ -1,3 +1,4 @@
+import json
 import sys
 import threading
 import time
@@ -21,13 +22,14 @@ from kvcompactor import (
     mean_pool,
     noncausal_scores,
     random_eviction,
+    save_bundle,
     select_topk,
     value_norm_scale,
 )
 from kvcompactor import _pool, evict
 from kvcompactor.errors import DataError, ParameterError
 from kvcompactor.evict import _head_indices
-from kvcompactor.harness import SynthProfile, planted_needles, synth_bundle
+from kvcompactor.harness import SynthProfile, cli, planted_needles, sweep, sweep_policies, synth_bundle
 from kvcompactor.kvstore import HeadTensors
 
 
@@ -194,13 +196,23 @@ class TestCompressBundle:
         assert len(kept) == 20
         cfg_off = AttnScoreConfig(baseline_window=8, snap_keep_window=False)
         plan_off = compress_bundle(bundle, EvictionPolicy(kind="snapkv", retention=0.2, attn=cfg_off))
-        ht = bundle.head(0, 0)
-        s = head_scores(EvictionPolicy(kind="snapkv", retention=0.2, attn=cfg_off), ht.keys_prerope, ht.keys, ht.values, ht.queries)
+        s = head_scores(EvictionPolicy(kind="snapkv", retention=0.2, attn=cfg_off), bundle.head(0, 0))
         assert plan_off.retained[0][0] == tuple(select_topk(s, 0.2).tolist())
 
+    @pytest.mark.parametrize("window", [32, 500])
+    def test_snapkv_window_wider_than_budget_keeps_last_k(self, window):
+        # k = 10 of 100 tokens: the budget holds only the window's last 10
+        bundle = synth_bundle(SynthProfile(kind="gaussian_iid", N=100, d=8, seed=2), n_layers=1, n_kv_heads=2)
+        policy = EvictionPolicy(kind="snapkv", retention=0.1, attn=AttnScoreConfig(baseline_window=window))
+        plan = compress_bundle(bundle, policy)
+        assert plan.retained == ((tuple(range(90, 100)),) * 2,)
+        [row] = sweep_policies(bundle, [policy], [0.1], needle_indices=range(90, 100))
+        assert (row["retained_per_head"], row["needle_retained"]) == (10, 1)
+
     def test_head_scores_random_policy_rejected(self):
+        ht = HeadTensors(keys=np.zeros((2, 2)), values=np.zeros((2, 2)), keys_prerope=None, queries=None)
         with pytest.raises(ParameterError):
-            head_scores(EvictionPolicy(kind="random", retention=0.5), None, np.zeros((2, 2)), np.zeros((2, 2)), None)
+            head_scores(EvictionPolicy(kind="random", retention=0.5), ht)
 
     def test_snapkv_window_clamped_to_short_context(self):
         # default observation window (32) exceeds this context; the policy
@@ -328,7 +340,8 @@ class TestHeadPool:
         assert get_threads() == before
 
     @needs_openblas
-    def test_h2o_heads_run_in_order_on_the_calling_thread(self, monkeypatch, pool_bundle):
+    @pytest.mark.parametrize("caller", ["compress_bundle", "sweep_policies", "kvc score"])
+    def test_h2o_heads_run_in_order_on_the_calling_thread(self, monkeypatch, tmp_path, pool_bundle, caller):
         monkeypatch.setattr(_pool, "_cores", lambda: 2)
         _, get_threads = _blas()
         before, seen = get_threads(), []
@@ -338,8 +351,18 @@ class TestHeadPool:
             seen.append((args[-2:], threading.get_ident(), get_threads()))
             return original(policy, *args)
 
-        monkeypatch.setattr(evict, "head_scores", recording)
-        compress_bundle(pool_bundle, EvictionPolicy(kind="h2o", retention=0.3))
+        for module in (evict, sweep, cli):
+            monkeypatch.setattr(module, "head_scores", recording)
+        policy = EvictionPolicy(kind="h2o", retention=0.3)
+        if caller == "compress_bundle":
+            compress_bundle(pool_bundle, policy)
+        elif caller == "sweep_policies":
+            sweep_policies(pool_bundle, [policy], [0.3])
+        else:
+            save_bundle(pool_bundle, tmp_path / "b.kvt")
+            (tmp_path / "p.json").write_text(json.dumps(policy.to_json_dict()))
+            argv = ["score", "--bundle", tmp_path / "b.kvt", "--policy", tmp_path / "p.json", "--out", tmp_path / "s.csv"]
+            assert cli.main([str(a) for a in argv]) == 0
         assert seen == [((l, h), threading.get_ident(), before) for l in range(2) for h in range(3)]
 
     @needs_openblas

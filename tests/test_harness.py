@@ -170,15 +170,15 @@ class TestBench:
     def test_snapkv_times_keep_window_selection(self, monkeypatch):
         # kvc bench must time the same per-head selection that kvc evict runs
         calls = []
-        original = evict._topk_with_window
+        original = evict._select
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+        def counted(policy, *args):
+            calls.append((policy.kind, policy.attn.snap_keep_window))
+            return original(policy, *args)
 
-        monkeypatch.setattr(evict, "_topk_with_window", counted)
+        monkeypatch.setattr(evict, "_select", counted)
         bench_scaling(EvictionPolicy(kind="snapkv", retention=0.5), [64, 128], repeats=1, warmup=1, d=8)
-        assert len(calls) == 4
+        assert calls == [("snapkv", True)] * 4
 
     def test_rejects_unsorted(self):
         with pytest.raises(ParameterError):

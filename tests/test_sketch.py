@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kvcompactor import SketchSpec, apply_sketch, gaussian_sketch, srht_apply
+from kvcompactor import SketchSpec, apply_sketch, gaussian_sketch
 from kvcompactor.errors import ParameterError
 from kvcompactor.sketch import next_pow2, srht_components, srht_sketch
 
@@ -43,7 +43,7 @@ class TestSrht:
         # constant vector of magnitude sqrt(d/k) with the sign of D[0, 0]
         K = np.zeros((1, 4))
         K[0, 0] = 1.0
-        out = srht_apply(K, SketchSpec("srht", k, seed=5))
+        out = apply_sketch(K, SketchSpec("srht", k, seed=5))
         assert out.shape == (1, k)
         assert np.allclose(np.abs(out), np.sqrt(4 / k))
         assert np.unique(out).size == 1
@@ -59,22 +59,22 @@ class TestSrht:
             assert np.array_equal(srht_sketch(d, spec), phi[:d])
             padded = np.zeros((9, d_pad))
             padded[:, :d] = K
-            assert np.allclose(srht_apply(K, spec), padded @ phi, atol=1e-10)
+            assert np.allclose(apply_sketch(K, spec), padded @ phi, atol=1e-10)
 
     def test_padding_non_pow2(self):
         K = np.random.default_rng(1).standard_normal((7, 48))
-        out = srht_apply(K, SketchSpec("srht", 64, seed=0))
+        out = apply_sketch(K, SketchSpec("srht", 64, seed=0))
         assert out.shape == (7, 64)
 
     def test_k_above_pad_rejected(self):
         with pytest.raises(ParameterError):
-            srht_apply(np.ones((2, 48)), SketchSpec("srht", 65, seed=0))
+            apply_sketch(np.ones((2, 48)), SketchSpec("srht", 65, seed=0))
 
     def test_row_norm_concentration(self):
         # relative to the transform's inherent d_pad scale (unnormalized
         # Hadamard factor), squared row norms concentrate within +-50%
         K = np.random.default_rng(0).standard_normal((256, 64))
-        out = srht_apply(K, SketchSpec("srht", 64, seed=0))
+        out = apply_sketch(K, SketchSpec("srht", 64, seed=0))
         ratio = (out**2).sum(1) / ((K**2).sum(1) * 64)
         assert np.mean((ratio > 0.5) & (ratio < 1.5)) >= 0.99
 
