@@ -90,13 +90,7 @@ def _cmd_score(args):
     bundle = load_bundle(args.bundle)
     policy = _load_policy(args.policy)
     scores = _each_head(bundle, partial(head_scores, policy), policy)
-    rows = (
-        {"layer": l, "head": h, "index": i, "score": float(v)}
-        for l, layer in enumerate(scores)
-        for h, s in enumerate(layer)
-        for i, v in enumerate(s.scores)
-    )
-    report.write_csv(args.out, rows, ["layer", "head", "index", "score"])
+    report.write_head_scores(args.out, scores)
     print(f"wrote {args.out}: {int(bundle.seq_lens.sum())} scores")
     return EXIT_OK
 

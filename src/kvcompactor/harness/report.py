@@ -1,6 +1,7 @@
 """CSV report emission (the single report format; pipe into any plotter)."""
 
 import csv
+from itertools import repeat
 
 
 def write_csv(path, rows, fieldnames=None) -> None:
@@ -16,3 +17,17 @@ def write_csv(path, rows, fieldnames=None) -> None:
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
+
+
+def write_head_scores(path, scores) -> None:
+    """Write [layer][head] ScoreVectors as layer,head,index,score rows, in (layer, head, index) order.
+
+    Each head's rows go to csv.writer straight from its score array: the
+    same bytes as write_csv with one dict per token, several times faster.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["layer", "head", "index", "score"])
+        for l, layer in enumerate(scores):
+            for h, s in enumerate(layer):
+                writer.writerows(zip(repeat(l), repeat(h), range(len(s)), s.scores.tolist()))

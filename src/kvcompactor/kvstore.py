@@ -91,6 +91,11 @@ def _freeze(mat, name: str) -> np.ndarray:
     return mat
 
 
+def _finite(mat: np.ndarray) -> bool:
+    """True when every entry is finite: a NaN or inf reaches the max or the min, and neither needs a temporary."""
+    return bool(np.isfinite(mat.max(initial=-np.inf)) and np.isfinite(mat.min(initial=np.inf)))
+
+
 def _present(bundle) -> list:
     """The `_LAYOUT` rows of the tensors a bundle carries, in payload order."""
     return [(name, bit) for name, bit in _LAYOUT if not bit or getattr(bundle, name) is not None]
@@ -140,7 +145,7 @@ class KVBundle:
         n_heads, d = len(keys[0]), keys[0][0].shape[1]
         # the scans run on the pool; the loop below reads them in order, so the first bad matrix is the one named
         mats = [mat for group in tensors.values() for layer in group for mat in layer]
-        finite = dict(zip(map(id, mats), map_heads(lambda m: bool(np.isfinite(m).all()), mats)))
+        finite = dict(zip(map(id, mats), map_heads(_finite, mats)))
         for name, group in tensors.items():
             if len(group) != len(keys) or any(len(layer) != n_heads for layer in group):
                 raise ParameterError(f"{name}: expected {len(keys)} layers of {n_heads} heads")
@@ -199,29 +204,54 @@ class KVBundle:
 
 
 def save_bundle(bundle: KVBundle, path) -> None:
-    """Write a uniform bundle in KVT1 format (bit-exact float32 round trip)."""
+    """Write a uniform bundle in KVT1 format (bit-exact float32 round trip).
+
+    An existing file is rewritten in place, not truncated first: a zeroed
+    header, then the payload, then a truncate at the payload's end, and only
+    then the real header. A save that fails part-way thus leaves a file that
+    load_bundle rejects (bad magic), never a mix of old and new data read as
+    a bundle. A symlink is written through to its target. Nothing is
+    fsynced: a caller that needs the file to survive a power cut must fsync
+    it. ``path`` must be a regular file, or where one can be created.
+    """
     if bundle.is_ragged:
         raise FormatError("KVT1 carries a single seq_len; cannot save a ragged bundle")
     present = _present(bundle)
     flags = sum(bit for _, bit in present)
     groups = [getattr(bundle, name) for name, _ in present]
     header = _HEADER.pack(_MAGIC, bundle.n_layers, bundle.n_kv_heads, bundle.seq_len, bundle.head_dim, flags)
-    with open(path, "wb") as fh:
-        fh.write(header)
+    # no O_TRUNC: on ext4, closing a file truncated to 0 and rewritten starts its writeback, which the next such save waits on
+    with open(path, "wb", opener=lambda p, f: os.open(p, f & ~os.O_TRUNC, 0o666)) as fh:
+        fh.write(bytes(_HEADER.size))
         for l in range(bundle.n_layers):
             for h in range(bundle.n_kv_heads):
                 for mats in groups:
                     fh.write(mats[l][h])
+        fh.truncate()
+        fh.seek(0)
+        fh.write(header)
+
+
+def _read_span(fd: int, payload: memoryview, start: int, stop: int, path) -> None:
+    """Read payload bytes [start, stop) of the file at fd into payload; a 0-byte read before stop is a TruncationError."""
+    while start < stop:
+        n = os.preadv(fd, [payload[start:stop]], _HEADER.size + start)
+        if n == 0:
+            raise TruncationError(f"{path}: payload ends at byte {start}, before the size its header declares")
+        start += n
 
 
 def load_bundle(path) -> KVBundle:
     """Read and fully validate a KVT1 bundle file (a regular file, not a pipe).
 
     The declared payload size is checked against the file before anything is
-    allocated; the payload is read once into an owned float32 array, whose
-    views are the bundle's matrices, and KVBundle's constructor is the one
-    finiteness check. Not a memmap: later writes to the file must not reach
-    a bundle that was already validated.
+    allocated. The payload is read once into one owned float32 array,
+    allocated on the calling thread, whose views are the bundle's matrices:
+    each (layer, head)'s contiguous span is read with ``os.preadv`` at its
+    own offset, one thread per usable core. A read that comes up short (the
+    file shrank meanwhile) is a TruncationError, and KVBundle's constructor
+    is the one finiteness check. Not a memmap: later writes to the file must
+    not reach a bundle that was already validated.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
@@ -235,13 +265,14 @@ def load_bundle(path) -> KVBundle:
         if flags & ~(_FLAG_QUERIES | _FLAG_PREROPE):
             raise FormatError(f"{path}: unknown flag bits 0x{flags:02x}")
         names = [name for name, bit in _LAYOUT if not bit or flags & bit]
-        expected = n_layers * n_heads * len(names) * seq_len * head_dim * 4
+        head_bytes = len(names) * seq_len * head_dim * 4
+        expected = n_layers * n_heads * head_bytes
         size = os.fstat(fh.fileno()).st_size - _HEADER.size
-        if size == expected:
-            data = np.empty((n_layers, n_heads, len(names), seq_len, head_dim), dtype="<f4")
-            size = fh.readinto(data)
         if size != expected:
             raise TruncationError(f"{path}: payload is {size} bytes, header declares {expected}")
+        data = np.empty((n_layers, n_heads, len(names), seq_len, head_dim), dtype="<f4")
+        payload, fd = memoryview(data).cast("B"), fh.fileno()
+        map_heads(lambda i: _read_span(fd, payload, i * head_bytes, (i + 1) * head_bytes, path), range(n_layers * n_heads))
     try:
         return KVBundle(**{name: data[:, :, slot] for slot, name in enumerate(names)})
     except DataError as exc:

@@ -99,6 +99,24 @@ class TestPipeline:
         got = [(int(r["layer"]), int(r["head"]), int(r["index"]), float(r["score"])) for r in csv.DictReader(out.open())]
         assert got == expected
 
+    def test_score_csv_bytes_match_dict_writer(self, tmp_path, capsys):
+        # the bytes of the one-dict-per-token csv.DictWriter that wrote this CSV before
+        from kvcompactor import EvictionPolicy, head_scores, load_bundle
+        from kvcompactor.harness import report
+
+        path, policy_path, out = tmp_path / "b.kvt", write_policy(tmp_path / "p.json", kind="compactor"), tmp_path / "s.csv"
+        assert run(capsys, "synth", "--profile", "needle", "--n", 70, "--d", 8, "--layers", 2, "--heads", 3, "--out", path)[0] == 0
+        assert run(capsys, "score", "--bundle", path, "--policy", policy_path, "--out", out)[0] == 0
+        bundle, policy = load_bundle(path), EvictionPolicy.from_json_dict(json.loads(policy_path.read_text()))
+        rows = (
+            {"layer": l, "head": h, "index": i, "score": float(v)}
+            for l in range(2)
+            for h in range(3)
+            for i, v in enumerate(head_scores(policy, bundle.head(l, h), l, h).scores)
+        )
+        report.write_csv(tmp_path / "dict.csv", rows, ["layer", "head", "index", "score"])
+        assert out.read_bytes() == (tmp_path / "dict.csv").read_bytes()
+
     def test_score_random_policy_rejected(self, tmp_path, capsys, bundle_path):
         policy = write_policy(tmp_path / "p.json", kind="random")
         code, _, err = run(capsys, "score", "--bundle", bundle_path, "--policy", policy, "--out", tmp_path / "s.csv")

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kvcompactor import EvictionPolicy, apply_plan, compress_bundle, load_bundle, load_plan, save_bundle, save_plan
+from kvcompactor import EvictionPolicy, apply_plan, compress_bundle, head_scores, load_bundle, load_plan, save_bundle, save_plan
 from kvcompactor.harness.synth import SynthProfile, synth_bundle
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
@@ -43,54 +43,83 @@ def _made_with() -> dict:
     return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}"}
 
 
-def _outputs(name: str, tmp: Path) -> dict:
-    """Retention, digests and per-head kept-token bitmaps (hex) of one workload's bundle 0."""
+def _outputs(name: str, tmp: Path):
+    """Retention, digests and per-head kept-token bitmaps (hex) of one workload's bundle 0, and its bundle and policy."""
     wl = workloads.get(name, smoke=True)
     r = wl.retention or FIXED_R[name]
     profile = SynthProfile(N=wl.seq_len, d=wl.head_dim, seed=workloads.bundle_seed(0, 0), **wl.profile)
+    policy = EvictionPolicy.from_json_dict({**wl.policy, "retention": r})
     src, plan_path, out = tmp / f"{name}.kvt", tmp / f"{name}.plan.json", tmp / f"{name}.out.kvt"
     save_bundle(synth_bundle(profile, wl.n_layers, wl.n_kv_heads), src)
     bundle = load_bundle(src)
-    save_plan(compress_bundle(bundle, EvictionPolicy.from_json_dict({**wl.policy, "retention": r})), plan_path)
+    save_plan(compress_bundle(bundle, policy), plan_path)
     plan = load_plan(plan_path)
     save_bundle(apply_plan(bundle, plan), out)
     heads = [[np.asarray(idx, dtype="<i8") for idx in layer] for layer in plan.retained]
     bitmaps = [[np.packbits(np.isin(np.arange(wl.seq_len), idx)).tobytes().hex() for idx in layer] for layer in heads]
-    return {
+    doc = {
         "retention": r,
         "plan_sha256": hashlib.sha256(b"".join(idx.tobytes() for layer in heads for idx in layer)).hexdigest(),
         "file_sha256": hashlib.sha256(out.read_bytes()).hexdigest(),
         "kept": bitmaps,
     }
+    return doc, bundle, policy
 
 
-def _plan_diff(want: dict, got: dict):
-    """(layer, head)s whose kept sets differ, and how many golden tokens they no longer keep."""
-    heads, swapped = [], 0
-    for l, (want_layer, got_layer) in enumerate(zip(want["kept"], got["kept"])):
-        for h, (a, b) in enumerate(zip(want_layer, got_layer)):
-            if a != b:
-                was, now = (np.unpackbits(np.frombuffer(bytes.fromhex(x), dtype=np.uint8)) for x in (a, b))
-                heads.append((l, h))
-                swapped += int(np.count_nonzero(was > now))
-    return heads, swapped
+def _kept(bitmap: str) -> np.ndarray:
+    return np.unpackbits(np.frombuffer(bytes.fromhex(bitmap), dtype=np.uint8)).astype(bool)
+
+
+def _plan_diff(want: dict, got: dict) -> dict:
+    """{(layer, head): (golden kept mask, this run's kept mask)} of the heads whose kept sets differ (padded to bytes)."""
+    return {
+        (l, h): (_kept(a), _kept(b))
+        for l, (want_layer, got_layer) in enumerate(zip(want["kept"], got["kept"]))
+        for h, (a, b) in enumerate(zip(want_layer, got_layer))
+        if a != b
+    }
+
+
+def _swap_gaps(scores: np.ndarray, was: np.ndarray, now: np.ndarray) -> str:
+    """Each token whose kept bit flipped, and its score minus the k-th largest score of its head.
+
+    A gap near 0 is a boundary swap (rounding moved two near-equal scores);
+    a large one means the scores themselves changed.
+    """
+    kth = np.sort(scores)[-int(np.count_nonzero(now))]
+    return ", ".join(
+        f"{i} {'dropped' if was[i] else 'added'} {scores[i] - kth:+.3g}" for i in np.flatnonzero(was != now)
+    )
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_outputs_match_golden(name, tmp_path):
     doc = json.loads(GOLDEN.read_text())
-    want, got = doc["workloads"][name], _outputs(name, tmp_path)
+    want, (got, bundle, policy) = doc["workloads"][name], _outputs(name, tmp_path)
     versions = f"golden made with {doc['made_with']}, this run with {_made_with()}"
     assert got["retention"] == want["retention"]
-    heads, swapped = _plan_diff(want, got)
-    assert got["plan_sha256"] == want["plan_sha256"], (
-        f"{name}: plan differs at (layer, head)s {heads}, {swapped} token(s) swapped; {versions}"
-    )
+    if got["plan_sha256"] != want["plan_sha256"]:
+        diff = _plan_diff(want, got)
+        swapped = sum(int(np.count_nonzero(was & ~now)) for was, now in diff.values())
+        gaps = "; ".join(
+            f"{lh}: {_swap_gaps(head_scores(policy, bundle.head(*lh), *lh).scores, *masks)}" for lh, masks in diff.items()
+        )
+        pytest.fail(
+            f"{name}: plan differs at (layer, head)s {list(diff)}, {swapped} token(s) swapped; "
+            f"token, change, score minus the k-th score: {gaps}; {versions}"
+        )
     assert got["file_sha256"] == want["file_sha256"], f"{name}: compacted file differs, plan does not; {versions}"
+
+
+def test_swap_gaps_name_each_flipped_token():
+    scores = np.array([0.5, 0.1, 0.3 + 1e-7, 0.3, 0.05])
+    was = np.array([True, False, False, True, False])
+    now = np.array([True, False, True, False, False])
+    assert _swap_gaps(scores, was, now) == "2 added +0, 3 dropped -1e-07"
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        doc = {"made_with": _made_with(), "workloads": {n: _outputs(n, Path(tmp)) for n in sorted(workloads.WORKLOADS)}}
+        doc = {"made_with": _made_with(), "workloads": {n: _outputs(n, Path(tmp))[0] for n in sorted(workloads.WORKLOADS)}}
     GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {GOLDEN}")

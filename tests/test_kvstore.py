@@ -1,4 +1,8 @@
+import builtins
+import errno
 import json
+import os
+import stat
 import struct
 
 import numpy as np
@@ -6,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvcompactor import _pool
+from kvcompactor import _pool, kvstore
 from kvcompactor import KVBundle, RetentionPlan, apply_plan, load_bundle, load_plan, retained_count, save_bundle, save_plan
 from kvcompactor.errors import DataError, FormatError, ParameterError, PlanMismatchError, TruncationError
 from kvcompactor.harness.cli import main
@@ -171,6 +175,118 @@ class TestBundleFormat:
         tensors["keys_prerope"][1, 1, 0, 0] = np.inf
         with pytest.raises(DataError, match=r"^keys_prerope\[1\]\[1\]: bundle contains non-finite values$"):
             KVBundle(**tensors)
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_finite_check_matches_isfinite(self, data):
+        shape = (data.draw(st.integers(1, 9)), data.draw(st.integers(1, 5)))
+        mat = np.random.default_rng(data.draw(st.integers(0, 2**16))).standard_normal(shape).astype(np.float32)
+        specials = [np.nan, np.inf, -np.inf, np.finfo(np.float32).max, -np.finfo(np.float32).max, -0.0]
+        for value in data.draw(st.lists(st.sampled_from(specials), max_size=3)):
+            mat[data.draw(st.integers(0, shape[0] - 1)), data.draw(st.integers(0, shape[1] - 1))] = value
+        assert kvstore._finite(mat) == bool(np.isfinite(mat).all())
+
+
+class _FailingWrite:
+    """A file whose write number `fail_at` raises OSError (write 1 is save_bundle's zeroed header)."""
+
+    def __init__(self, fh, fail_at):
+        self.fh, self.fail_at, self.writes = fh, fail_at, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise OSError(errno.ENOSPC, "no space left on device")
+        return self.fh.write(data)
+
+
+class TestBundleFileIO:
+    def test_small_save_over_larger_file_is_exact(self, tmp_path):
+        rng = np.random.default_rng(10)
+        path, fresh = tmp_path / "out.kvt", tmp_path / "fresh.kvt"
+        save_bundle(make_bundle(rng, layers=2, heads=3, n=50, d=4), path)
+        small = make_bundle(rng, layers=1, heads=1, n=2, d=4, queries=False)
+        save_bundle(small, path)
+        save_bundle(small, fresh)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert path.stat().st_size == HEADER.size + 3 * 2 * 4 * 4
+
+    @pytest.mark.parametrize("old_n", [5, 50], ids=["same_shape", "larger"])
+    def test_failed_save_leaves_a_rejected_file(self, tmp_path, monkeypatch, old_n):
+        # same shape is the case a plain in-place rewrite would get wrong: old header, new and old payload
+        rng = np.random.default_rng(11)
+        path = tmp_path / "out.kvt"
+        save_bundle(make_bundle(rng, layers=2, heads=2, n=old_n, d=3), path)
+        monkeypatch.setattr(kvstore, "open", lambda *a, **k: _FailingWrite(builtins.open(*a, **k), 4), raising=False)
+        with pytest.raises(OSError, match="no space"):
+            save_bundle(make_bundle(rng, layers=2, heads=2, n=5, d=3), path)
+        monkeypatch.undo()
+        with pytest.raises(FormatError, match="bad magic"):
+            load_bundle(path)
+
+    def test_ragged_save_leaves_existing_file(self, tmp_path):
+        path = tmp_path / "out.kvt"
+        save_bundle(make_bundle(np.random.default_rng(12)), path)
+        before = path.read_bytes()
+        mats = [[np.ones((3, 2), np.float32), np.ones((2, 2), np.float32)]]
+        ragged = KVBundle(keys=mats, values=mats)
+        with pytest.raises(FormatError):
+            save_bundle(ragged, path)
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_file_shrinking_during_read_is_truncation(self, tmp_path, monkeypatch, cores):
+        # preadv sees the file end at byte `end`: head 0 is whole, head 1 comes up short, then reads return 0
+        monkeypatch.setattr(_pool, "_cores", lambda: cores)
+        path = tmp_path / "b.kvt"
+        save_bundle(make_bundle(np.random.default_rng(13), layers=1, heads=2, n=6, d=2), path)
+        head_bytes = 4 * 6 * 2 * 4
+        end = HEADER.size + head_bytes + 20
+        real = os.preadv
+
+        def shrunk(fd, bufs, offset):
+            return real(fd, [memoryview(bufs[0])[: max(0, end - offset)]], offset)
+
+        monkeypatch.setattr(os, "preadv", shrunk)
+        with pytest.raises(TruncationError, match=f"ends at byte {head_bytes + 20},"):
+            load_bundle(path)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_short_reads_are_resumed(self, tmp_path, monkeypatch, cores):
+        monkeypatch.setattr(_pool, "_cores", lambda: cores)
+        b = make_bundle(np.random.default_rng(14), layers=2, heads=2, n=7, d=3)
+        path = tmp_path / "b.kvt"
+        save_bundle(b, path)
+        real = os.preadv
+        monkeypatch.setattr(os, "preadv", lambda fd, bufs, offset: real(fd, [memoryview(bufs[0])[:7]], offset))
+        loaded = load_bundle(path)
+        for name in ("keys_prerope", "keys", "values", "queries"):
+            for l in range(2):
+                for h in range(2):
+                    assert np.array_equal(getattr(loaded, name)[l][h], getattr(b, name)[l][h])
+
+    def test_save_through_symlink_keeps_link_and_mode(self, tmp_path):
+        rng = np.random.default_rng(15)
+        target, link, fresh = tmp_path / "target.kvt", tmp_path / "link.kvt", tmp_path / "fresh.kvt"
+        save_bundle(make_bundle(rng, layers=2, heads=2, n=9), target)
+        target.chmod(0o640)
+        link.symlink_to(target)
+        b = make_bundle(rng, heads=1, n=3)
+        save_bundle(b, link)
+        save_bundle(b, fresh)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == fresh.read_bytes()
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
 
 
 class TestRetentionPlan:
