@@ -67,12 +67,7 @@ def map_heads(fn, items) -> list:
         _pin["depth"] += 1
     try:
         with ThreadPoolExecutor(workers) as pool:
-            futures = [pool.submit(fn, x) for x in items]
-            try:
-                return [f.result() for f in futures]
-            finally:
-                for f in futures:
-                    f.cancel()
+            return list(pool.map(fn, items))
     finally:
         with _PIN_LOCK:
             _pin["depth"] -= 1

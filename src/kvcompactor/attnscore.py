@@ -31,7 +31,7 @@ the bundled eviction pipeline pools first, then scales.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -71,14 +71,7 @@ class AttnScoreConfig:
         _check_field("snap_keep_window", self.snap_keep_window, "bool")
 
     def to_json_dict(self) -> dict:
-        return {
-            "chunk_size": self.chunk_size,
-            "pool_window": self.pool_window,
-            "scale": self.scale,
-            "value_norm": self.value_norm,
-            "baseline_window": self.baseline_window,
-            "snap_keep_window": self.snap_keep_window,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "AttnScoreConfig":

@@ -34,6 +34,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import ConvergenceError, DataError, DegenerateFitError, FormatError, ParameterError, _check_field
+from .kvstore import _read_json
 
 _GRID_ALPHA = (-2.0, -1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0, 2.0)
 _GRID_BETA = (0.05, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
@@ -218,13 +219,7 @@ def save_model(model: CalibrationModel, path) -> None:
 
 
 def load_model(path) -> CalibrationModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    doc = _read_json(path)
     try:
         return CalibrationModel(**{f.name: doc[f.name] for f in fields(CalibrationModel)})
     except KeyError as exc:

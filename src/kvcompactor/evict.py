@@ -13,7 +13,7 @@ smaller index. Scoring and selection run independently for every
 computed budget schedules.
 """
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -21,8 +21,8 @@ import numpy as np
 from ._pool import map_heads
 from .attnscore import AttnScoreConfig, h2o_scores, mean_pool, noncausal_scores, snapkv_scores, value_norm_scale
 from .errors import DataError, ParameterError, _check_field
-from .kvstore import HeadTensors, KVBundle, RetentionPlan, ScoreVector, retained_count
-from .leverage import BasisMethod, approx_leverage
+from .kvstore import HeadTensors, KVBundle, RetentionPlan, ScoreVector, _rates, retained_count
+from .leverage import approx_leverage
 from .sketch import SketchSpec, next_pow2
 
 POLICY_KINDS = ("compactor", "snapkv", "h2o", "random", "leverage_only")
@@ -48,24 +48,15 @@ class EvictionPolicy:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ParameterError(f"unknown policy kind {self.kind!r}")
-        rs = self.retention
-        per_layer = isinstance(rs, (tuple, list))
-        if per_layer and not rs:
-            raise ParameterError("per-layer retention list is empty")
-        for r in rs if per_layer else (rs,):
-            _check_field("retention", r, "real")
-            if not 0.0 < r <= 1.0:
-                raise ParameterError(f"retention {r} outside (0, 1]")
-        object.__setattr__(self, "retention", tuple(float(r) for r in rs) if per_layer else float(rs))
+        object.__setattr__(self, "retention", _rates(self.retention, ParameterError))
         _check_field("lambda", self.lam, "real", 0)
         _check_field("policy seed", self.seed, "int", 0)
 
     def to_json_dict(self) -> dict:
-        r = self.retention
         return {
             "kind": self.kind,
             "lambda": self.lam,
-            "retention": list(r) if isinstance(r, tuple) else r,
+            "retention": self.retention,
             "sketch": self.sketch.to_json_dict(),
             "attn": self.attn.to_json_dict(),
             "seed": self.seed,
@@ -73,10 +64,9 @@ class EvictionPolicy:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "EvictionPolicy":
-        r = doc["retention"]
         return cls(
             kind=doc["kind"],
-            retention=tuple(r) if isinstance(r, list) else r,
+            retention=doc["retention"],
             lam=doc["lambda"],
             sketch=SketchSpec.from_json_dict(doc["sketch"]),
             attn=AttnScoreConfig.from_json_dict(doc["attn"]),
@@ -229,7 +219,6 @@ def compress_bundle(bundle: KVBundle, policy: EvictionPolicy) -> RetentionPlan:
         metadata={
             "policy": policy.to_json_dict(),
             "effective_sketch_k": sketch_meta.target_dim,
-            "basis": asdict(BasisMethod()),
             "n_layers": n_layers,
             "n_kv_heads": bundle.n_kv_heads,
             "head_dim": bundle.head_dim,

@@ -11,16 +11,15 @@ regardless of the observed pass rate).
 """
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
 from functools import partial
 
 from .. import calibrate
-from ..errors import CompactorError, DataError, ParameterError
+from ..errors import CompactorError, DataError, FormatError, ParameterError
 from ..evict import EvictionPolicy, _each_head, compress_bundle, head_scores
-from ..kvstore import apply_plan, load_bundle, load_plan, save_bundle, save_plan
+from ..kvstore import _read_json, apply_plan, load_bundle, load_plan, save_bundle, save_plan
 from . import report
 from .bench import bench_scaling
 from .sweep import sweep_policies
@@ -54,17 +53,13 @@ def _floats(text: str):
 
 
 def _load_policy(path) -> EvictionPolicy:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CompactorError(f"{path}: not valid JSON ({exc})") from exc
+    doc = _read_json(path)
     try:
         return EvictionPolicy.from_json_dict(doc)
     except KeyError as exc:
-        raise CompactorError(f"{path}: missing policy key {exc}") from exc
+        raise FormatError(f"{path}: missing policy key {exc}") from exc
     except (TypeError, ParameterError) as exc:
-        raise CompactorError(f"{path}: malformed policy ({exc})") from exc
+        raise FormatError(f"{path}: malformed policy ({exc})") from exc
 
 
 def _cmd_synth(args):
@@ -134,17 +129,20 @@ def _cmd_calib_plan(args):
             raise CompactorError("--queries needs --out for the result CSV")
         rows = []
         with open(args.queries, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            if header[:1] != ["nll_c"]:
-                raise CompactorError(f"{args.queries}: expected header nll_c")
+            if fh.readline().strip().split(",")[:1] != ["nll_c"]:
+                raise FormatError(f"{args.queries}: line 1: expected header nll_c")
             for lineno, line in enumerate(fh, start=2):
                 line = line.strip()
-                if line:
-                    try:
-                        nll = float(line.split(",")[0])
-                        rows.append({"nll_c": nll, "r_star": calibrate.invert_retention(nll, args.tau, model)})
-                    except ValueError as exc:
-                        raise DataError(f"{args.queries}: line {lineno}: {exc}") from exc
+                if not line:
+                    continue
+                try:
+                    nll = float(line.split(",")[0])
+                except ValueError as exc:
+                    raise FormatError(f"{args.queries}: line {lineno}: {exc}") from exc
+                try:
+                    rows.append({"nll_c": nll, "r_star": calibrate.invert_retention(nll, args.tau, model)})
+                except ValueError as exc:  # an NLL or tau outside its domain
+                    raise DataError(f"{args.queries}: line {lineno}: {exc}") from exc
         report.write_csv(args.out, rows, ["nll_c", "r_star"])
         print(f"wrote {args.out}: {len(rows)} retention rates")
         return EXIT_OK

@@ -4,7 +4,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..evict import _each_head, _select, head_scores, select_topk
-from ..kvstore import KVBundle
+from ..kvstore import KVBundle, _rates
 from ..leverage import exact_leverage
 
 
@@ -20,11 +20,9 @@ def sweep_policies(bundle: KVBundle, policies, r_list, needle_indices=None) -> l
     policy's L×H float64 score vectors are held at a time.
     """
     policies = list(policies)
-    r_list = list(r_list)
-    if not policies or not r_list:
-        raise ParameterError("need at least one policy and one retention rate")
-    if any(isinstance(r, bool) or not 0.0 < r <= 1.0 for r in r_list):
-        raise ParameterError("retention rates must be in (0, 1]")
+    if not policies:
+        raise ParameterError("need at least one policy")
+    r_list = _rates(list(r_list), ParameterError)
     needles = None if needle_indices is None else set(np.asarray(needle_indices, dtype=np.int64).tolist())
     n_min = int(bundle.seq_lens.min())
     if needles and not 0 <= min(needles) <= max(needles) < n_min:
@@ -48,7 +46,7 @@ def sweep_policies(bundle: KVBundle, policies, r_list, needle_indices=None) -> l
         else:
             q10, q50, q90 = (float(q) for q in np.quantile(heads[0][0].scores, (0.1, 0.5, 0.9)))
         for r, top in zip(r_list, exact_top):
-            kept = [set(_select(policy, s, n, float(r), l, h).tolist()) for s, n, l, h in heads]
+            kept = [set(_select(policy, s, n, r, l, h).tolist()) for s, n, l, h in heads]
             overlaps = [len(k & ref) / len(ref) for k, ref in zip(kept, top)]
             rows.append(
                 {

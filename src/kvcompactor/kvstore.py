@@ -26,6 +26,7 @@ queries stacked row-wise) before writing the bundle.
 
 import json
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass, field
@@ -59,6 +60,20 @@ def retained_count(r: float, n: int) -> int:
     return max(1, math.ceil(r * n - 1e-9))
 
 
+def _rates(value, error):
+    """A retention rate in (0, 1] as a float, or a non-empty list of them as a tuple of floats.
+
+    Anything else, a bool included, raises `error`.
+    """
+    per_layer = isinstance(value, (tuple, list))
+    if per_layer and not value:
+        raise error("retention list is empty")
+    for r in value if per_layer else (value,):
+        if isinstance(r, bool) or not (isinstance(r, numbers.Real) and 0.0 < r <= 1.0):
+            raise error(f"retention rate {r!r} is not a number in (0, 1]")
+    return tuple(map(float, value)) if per_layer else float(value)
+
+
 @dataclass(frozen=True)
 class ScoreVector:
     """Length-N importance scores for one head."""
@@ -70,7 +85,7 @@ class ScoreVector:
         arr = np.asarray(self.scores, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 1:
             raise ParameterError("scores must be a non-empty 1-D vector")
-        if not np.isfinite(arr).all():
+        if not _finite(arr):
             raise DataError("scores contain non-finite values")
         if self.kind not in SCORE_KINDS:
             raise ParameterError(f"unknown score kind {self.kind!r}")
@@ -91,9 +106,12 @@ def _freeze(mat, name: str) -> np.ndarray:
     return mat
 
 
-def _finite(mat: np.ndarray) -> bool:
-    """True when every entry is finite: a NaN or inf reaches the max or the min, and neither needs a temporary."""
-    return bool(np.isfinite(mat.max(initial=-np.inf)) and np.isfinite(mat.min(initial=np.inf)))
+def _finite(arr: np.ndarray) -> bool:
+    """True when every entry of a real array is finite.
+
+    A NaN or inf reaches the max or the min, which need no temporary; initial=0 keeps integer and empty arrays in range.
+    """
+    return bool(np.isfinite(arr.max(initial=0)) and np.isfinite(arr.min(initial=0)))
 
 
 def _present(bundle) -> list:
@@ -319,14 +337,10 @@ class RetentionPlan:
             raise DataError("plan needs at least one layer and one head")
         if any(len(layer) != len(layers[0]) for layer in layers):
             raise DataError(f"plan layers must all have layer 0's {len(layers[0])} heads")
-        targets = self.retention_target
-        per_layer = isinstance(targets, (tuple, list))
-        if per_layer and len(targets) != len(layers):
+        targets = _rates(self.retention_target, DataError)
+        if isinstance(targets, tuple) and len(targets) != len(layers):
             raise DataError(f"plan has {len(targets)} per-layer retention targets for {len(layers)} layers")
-        for r in targets if per_layer else (targets,):
-            if isinstance(r, bool) or not (isinstance(r, (int, float)) and 0.0 < r <= 1.0):
-                raise DataError(f"retention target {r!r} is not a number in (0, 1]")
-        object.__setattr__(self, "retention_target", tuple(float(r) for r in targets) if per_layer else float(targets))
+        object.__setattr__(self, "retention_target", targets)
         object.__setattr__(self, "retained", layers)
 
     @property
@@ -340,29 +354,34 @@ class RetentionPlan:
 
 def save_plan(plan: RetentionPlan, path) -> None:
     """Write a plan as a one-line JSON document; load_plan(save_plan(p)) == p."""
-    target = plan.retention_target
     doc = {
         "version": PLAN_VERSION,
-        "retention_target": list(target) if isinstance(target, tuple) else target,
+        "retention_target": plan.retention_target,
         "policy_name": plan.policy_name,
         "seed": plan.seed,
-        "layers": [[list(head) for head in layer] for layer in plan.retained],
+        "layers": plan.retained,
         "metadata": dict(plan.metadata),
     }
-    # one json.dumps call runs the C encoder; indent or a streaming dump would use the Python one
+    # one json.dumps call runs the C encoder (tuples come out as lists); indent or a stream would use the Python one
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc) + "\n")
 
 
-def load_plan(path) -> RetentionPlan:
-    """Read and invariant-check a plan file."""
+def _read_json(path) -> dict:
+    """The JSON object stored in a file; FormatError when the file is not valid JSON or holds no object."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
             raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
-        raise FormatError(f"{path}: plan document must be a JSON object")
+        raise FormatError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def load_plan(path) -> RetentionPlan:
+    """Read and invariant-check a plan file."""
+    doc = _read_json(path)
     try:
         version = doc["version"]
         target = doc["retention_target"]

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .kvstore import ScoreVector
+from .kvstore import ScoreVector, _finite
 from .sketch import SketchSpec, apply_sketch
 
 BASIS_KINDS = ("svd_gram", "qr", "eig_gram")
@@ -100,7 +100,7 @@ def row_basis(khat: np.ndarray, method: BasisMethod = BasisMethod()) -> np.ndarr
     khat = np.asarray(khat)
     if khat.ndim != 2:
         raise ParameterError("khat must be 2-D")
-    if not np.isfinite(khat).all():
+    if not _finite(khat):
         raise DataError("khat contains non-finite values")
     return _basis_and_rank(khat, method)[0]
 
@@ -118,7 +118,7 @@ def approx_leverage(
     K = np.asarray(K)
     if K.ndim != 2:
         raise ParameterError("K must be 2-D")
-    if not np.isfinite(K).all():
+    if not _finite(K):
         raise DataError("K contains non-finite values")
     khat = apply_sketch(K, sketch)
     u, rank = _basis_and_rank(khat, method)

@@ -10,6 +10,8 @@ import pytest
 
 import kvcompactor
 from kvcompactor import CalibrationModel, calib_value, invert_retention
+from kvcompactor.errors import DataError, FormatError
+from kvcompactor.harness import cli
 from kvcompactor.harness.cli import main
 
 
@@ -144,6 +146,17 @@ class TestPipeline:
         code, _, err = run(capsys, "evict", "--bundle", bundle_path, "--policy", policy, "--out", tmp_path / "x")
         assert code == 2
         assert err.startswith("error:") and str(policy) in err
+
+    @pytest.mark.parametrize("data", [b'{"kind": "h2o",', b"[1, 2]", b"\xff"], ids=["bad_json", "list", "not_utf8"])
+    def test_policy_not_json_object_is_format_error(self, tmp_path, capsys, bundle_path, data):
+        policy = tmp_path / "p.json"
+        policy.write_bytes(data)
+        with pytest.raises(FormatError, match="p.json"):
+            cli._load_policy(policy)
+        code, _, err = run(capsys, "evict", "--bundle", bundle_path, "--policy", policy, "--out", tmp_path / "x")
+        assert code == 2
+        assert err.startswith("error:") and str(policy) in err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
         "command, field, value",
@@ -289,6 +302,42 @@ class TestCalibCli:
         assert code == 2
         assert f"{queries}: line 3" in err
         assert not result.exists()
+
+    @pytest.mark.parametrize(
+        "text, error, line",
+        [
+            ("r\n0.5\n", FormatError, 1),
+            ("", FormatError, 1),
+            ("nll_c\n0.5\nabc\n", FormatError, 3),
+            ("nll_c\n0.5\n,1\n", FormatError, 3),
+            ("nll_c\n0.5\n-1\n", DataError, 3),
+        ],
+        ids=["bad_header", "empty", "not_a_number", "blank_field", "negative_nll"],
+    )
+    def test_plan_queries_errors_name_the_line(self, tmp_path, capsys, text, error, line):
+        triples = self.make_triples(tmp_path / "t.csv")
+        model_path = tmp_path / "m.json"
+        run(capsys, "calib", "fit", "--triples", triples, "--out", model_path)
+        queries, result = tmp_path / "q.csv", tmp_path / "r.csv"
+        queries.write_text(text)
+        argv = ["calib", "plan", "--model", str(model_path), "--queries", str(queries), "--out", str(result)]
+        with pytest.raises(error, match=f"q.csv: line {line}:"):
+            cli._cmd_calib_plan(cli.build_parser().parse_args(argv))
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and f"{queries}: line {line}:" in err
+        assert not result.exists()
+
+    def test_plan_queries_accepted_layouts(self, tmp_path, capsys):
+        # header matched on its first column, extra columns ignored, blank lines skipped, padding stripped
+        triples = self.make_triples(tmp_path / "t.csv")
+        model_path = tmp_path / "m.json"
+        run(capsys, "calib", "fit", "--triples", triples, "--out", model_path)
+        queries, result = tmp_path / "q.csv", tmp_path / "r.csv"
+        queries.write_text(" nll_c,ctx\r\n0.5,a\r\n\n  \n 2.0 ,b,c\n4\n")
+        code, _, _ = run(capsys, "calib", "plan", "--model", model_path, "--queries", queries, "--out", result)
+        assert code == 0
+        rows = list(csv.DictReader(result.open()))
+        assert [float(row["nll_c"]) for row in rows] == [0.5, 2.0, 4.0]
 
     def test_fit_degenerate_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "t.csv"

@@ -1,9 +1,10 @@
-"""The benchmark's workloads at their smoke shapes, pinned to recorded outputs.
+"""The benchmark's workloads at their smoke shapes and the README's sweep, pinned to recorded outputs.
 
 Bundle 0 of a seed-0 benchmark run of each workload goes through
 compress_bundle -> save_plan -> load_plan -> apply_plan -> save_bundle, and
 the sha256 of its plan's indices and of its compacted file must equal the
-ones in golden_outputs.json. A change that moves outputs on purpose
+ones in golden_outputs.json; so must the sha256 of the CSV that the README's
+``kvc sweep`` example writes. A change that moves outputs on purpose
 re-records that file in the same commit, and says why:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -20,11 +21,28 @@ import numpy as np
 import pytest
 
 from kvcompactor import EvictionPolicy, apply_plan, compress_bundle, head_scores, load_bundle, load_plan, save_bundle, save_plan
+from kvcompactor.harness import cli
 from kvcompactor.harness.synth import SynthProfile, synth_bundle
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 # compact_long's requests take r from a calibration model; the pin uses one fixed rate
 FIXED_R = {"compact_long": 0.7}
+# the policy file shown in the README
+README_POLICY = {
+    "kind": "compactor",
+    "lambda": 0.3,
+    "retention": 0.5,
+    "sketch": {"kind": "gaussian", "k": 64, "seed": 0},
+    "attn": {
+        "chunk_size": 256,
+        "pool_window": 7,
+        "scale": None,
+        "value_norm": True,
+        "baseline_window": 32,
+        "snap_keep_window": True,
+    },
+    "seed": 0,
+}
 
 
 def _import_workloads():
@@ -64,6 +82,16 @@ def _outputs(name: str, tmp: Path):
         "kept": bitmaps,
     }
     return doc, bundle, policy
+
+
+def _readme_sweep_sha256(tmp: Path) -> str:
+    """sha256 of the README sweep CSV: seed-0 needle bundle (N=1000, d=64), its policy and the h2o one, r 0.1, 0.5."""
+    bundle, p1, p2, out = (str(tmp / name) for name in ("bundle.kvt", "p1.json", "p2.json", "sweep.csv"))
+    Path(p1).write_text(json.dumps(README_POLICY))
+    Path(p2).write_text(json.dumps({**README_POLICY, "kind": "h2o"}))
+    assert cli.main(["synth", "--profile", "needle", "--n", "1000", "--d", "64", "--seed", "0", "--out", bundle]) == 0
+    assert cli.main(["sweep", "--bundle", bundle, "--policies", f"{p1},{p2}", "--rs", "0.1,0.5", "--out", out]) == 0
+    return hashlib.sha256(Path(out).read_bytes()).hexdigest()
 
 
 def _kept(bitmap: str) -> np.ndarray:
@@ -111,6 +139,12 @@ def test_outputs_match_golden(name, tmp_path):
     assert got["file_sha256"] == want["file_sha256"], f"{name}: compacted file differs, plan does not; {versions}"
 
 
+def test_readme_sweep_matches_golden(tmp_path):
+    doc = json.loads(GOLDEN.read_text())
+    versions = f"golden made with {doc['made_with']}, this run with {_made_with()}"
+    assert _readme_sweep_sha256(tmp_path) == doc["readme_sweep_sha256"], f"README sweep CSV differs; {versions}"
+
+
 def test_swap_gaps_name_each_flipped_token():
     scores = np.array([0.5, 0.1, 0.3 + 1e-7, 0.3, 0.05])
     was = np.array([True, False, False, True, False])
@@ -120,6 +154,10 @@ def test_swap_gaps_name_each_flipped_token():
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        doc = {"made_with": _made_with(), "workloads": {n: _outputs(n, Path(tmp))[0] for n in sorted(workloads.WORKLOADS)}}
+        doc = {
+            "made_with": _made_with(),
+            "workloads": {n: _outputs(n, Path(tmp))[0] for n in sorted(workloads.WORKLOADS)},
+            "readme_sweep_sha256": _readme_sweep_sha256(Path(tmp)),
+        }
     GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {GOLDEN}")

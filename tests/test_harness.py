@@ -192,6 +192,12 @@ def needle_fixture():
 
 
 class TestSweep:
+    @pytest.mark.parametrize("bad", ["0.5", None, True, 0.0, float("nan")])
+    def test_bad_rate_is_parameter_error(self, needle_fixture, bad):
+        bundle, _ = needle_fixture
+        with pytest.raises(ParameterError):
+            sweep_policies(bundle, [EvictionPolicy(kind="random", retention=0.5)], [0.5, bad])
+
     def test_full_retention_rows(self, needle_fixture):
         bundle, needles = needle_fixture
         rows = sweep_policies(

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvcompactor import _pool, kvstore
-from kvcompactor import KVBundle, RetentionPlan, apply_plan, load_bundle, load_plan, retained_count, save_bundle, save_plan
+from kvcompactor import EvictionPolicy, KVBundle, RetentionPlan, apply_plan, load_bundle, load_plan, retained_count
+from kvcompactor import save_bundle, save_plan
 from kvcompactor.errors import DataError, FormatError, ParameterError, PlanMismatchError, TruncationError
 from kvcompactor.harness.cli import main
 
@@ -321,6 +322,30 @@ class TestRetentionPlan:
             "metadata": {"sketch": {"kind": "gaussian", "k": 64, "seed": 7}, "scale": 0.1},
         }
         assert path.read_text(encoding="utf-8") == json.dumps(doc) + "\n"
+
+    @pytest.mark.parametrize("target", [0.3, (0.25, 0.5)], ids=["scalar", "per_layer"])
+    def test_bytes_match_list_encoding(self, tmp_path, target):
+        # tuples go straight to the encoder; the bytes are those of the document spelled out in lists
+        policy = EvictionPolicy(kind="compactor", retention=target)
+        plan = RetentionPlan(
+            retained=(((0, 2, 5), (1, 3, 4)), ((7,), (2**40, 2**62))),
+            retention_target=target,
+            policy_name="compactor",
+            seed=7,
+            metadata={"policy": policy.to_json_dict(), "seq_lens": [[8, 8], [8, 8]]},
+        )
+        as_list = list(target) if isinstance(target, tuple) else target
+        doc = {
+            "version": 1,
+            "retention_target": as_list,
+            "policy_name": "compactor",
+            "seed": 7,
+            "layers": [[[0, 2, 5], [1, 3, 4]], [[7], [2**40, 2**62]]],
+            "metadata": {"policy": {**policy.to_json_dict(), "retention": as_list}, "seq_lens": [[8, 8], [8, 8]]},
+        }
+        path = tmp_path / "plan.json"
+        save_plan(plan, path)
+        assert path.read_bytes() == (json.dumps(doc) + "\n").encode()
 
     def test_per_layer_targets_round_trip(self, tmp_path):
         plan = RetentionPlan(

@@ -107,6 +107,16 @@ class TestApproxLeverage:
         assert got.effective_rank == want.effective_rank
         assert np.abs(got.scores.scores - want.scores.scores).max() < 1e-5
 
+    @pytest.mark.parametrize("kind", ["none", "gaussian", "srht"])
+    def test_int64_keys_match_float64_copy(self, kind):
+        # the finiteness check must not overflow on integer input (no NaN or inf to find there)
+        K = np.random.default_rng(11).integers(-(2**40), 2**40, size=(64, 8), dtype=np.int64)
+        spec = SketchSpec(kind, 8, seed=2)
+        got, want = approx_leverage(K, spec), approx_leverage(K.astype(np.float64), spec)
+        assert got.effective_rank == want.effective_rank
+        assert np.array_equal(got.scores.scores, want.scores.scores)
+        assert np.array_equal(row_basis(K), row_basis(K.astype(np.float64)))
+
     def test_rank_deficient_never_errors(self):
         K = np.zeros((20, 8))
         K[:, 0] = 1.0
