@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import ConvergenceError, DataError, DegenerateFitError, FormatError, ParameterError, _check_field
-from .kvstore import _read_json
+from .kvstore import _read_json, _text_file
 
 _GRID_ALPHA = (-2.0, -1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0, 2.0)
 _GRID_BETA = (0.05, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
@@ -188,7 +188,7 @@ def fit_calibration(triples, under_penalty: float = 4.0, max_iter: int = 200) ->
 def load_triples(path) -> list:
     """Parse a CSV of training triples with header ``r,nll_c,y``."""
     out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _text_file(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

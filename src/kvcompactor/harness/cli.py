@@ -19,7 +19,7 @@ from functools import partial
 from .. import calibrate
 from ..errors import CompactorError, DataError, FormatError, ParameterError
 from ..evict import EvictionPolicy, _each_head, compress_bundle, head_scores
-from ..kvstore import _read_json, apply_plan, load_bundle, load_plan, save_bundle, save_plan
+from ..kvstore import _read_json, _text_file, apply_plan, load_bundle, load_plan, save_bundle, save_plan
 from . import report
 from .bench import bench_scaling
 from .sweep import sweep_policies
@@ -128,7 +128,7 @@ def _cmd_calib_plan(args):
         if args.out is None:
             raise CompactorError("--queries needs --out for the result CSV")
         rows = []
-        with open(args.queries, "r", encoding="utf-8") as fh:
+        with _text_file(args.queries) as fh:
             if fh.readline().strip().split(",")[:1] != ["nll_c"]:
                 raise FormatError(f"{args.queries}: line 1: expected header nll_c")
             for lineno, line in enumerate(fh, start=2):

@@ -24,6 +24,7 @@ grouped-query models, build one query matrix per KV head (the grouped
 queries stacked row-wise) before writing the bundle.
 """
 
+import contextlib
 import json
 import math
 import numbers
@@ -365,6 +366,16 @@ def save_plan(plan: RetentionPlan, path) -> None:
     # one json.dumps call runs the C encoder (tuples come out as lists); indent or a stream would use the Python one
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc) + "\n")
+
+
+@contextlib.contextmanager
+def _text_file(path, newline=None):
+    """open(path) as UTF-8 text; bytes that are not UTF-8 raise a FormatError naming the file, as _read_json's do."""
+    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def _read_json(path) -> dict:

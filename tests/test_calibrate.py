@@ -249,6 +249,13 @@ class TestTriplesCsv:
         with pytest.raises(FormatError):
             load_triples(path)
 
+    @pytest.mark.parametrize("data", [b"\xff\xfe", b"r,nll_c,y\n0.5,2.0,0.8\n\xff\n"], ids=["first_byte", "after_a_row"])
+    def test_not_utf8_is_format_error(self, tmp_path, data):
+        path = tmp_path / "t.csv"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match="t.csv: not UTF-8"):
+            load_triples(path)
+
 
 class TestModelJson:
     def test_round_trip(self, tmp_path):

@@ -327,6 +327,19 @@ class TestCalibCli:
         assert code == 2 and f"{queries}: line {line}:" in err
         assert not result.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "plan"])
+    def test_csv_not_utf8_is_format_error(self, tmp_path, capsys, command):
+        model_path, bad, result = tmp_path / "m.json", tmp_path / "bad.csv", tmp_path / "r.csv"
+        run(capsys, "calib", "fit", "--triples", self.make_triples(tmp_path / "t.csv"), "--out", model_path)
+        bad.write_bytes(b"\xff\xfe")
+        if command == "fit":
+            argv, out = ["calib", "fit", "--triples", bad, "--out", tmp_path / "m2.json"], tmp_path / "m2.json"
+        else:
+            argv, out = ["calib", "plan", "--model", model_path, "--queries", bad, "--out", result], result
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error:") and f"{bad}: not UTF-8" in err
+        assert not out.exists()
+
     def test_plan_queries_accepted_layouts(self, tmp_path, capsys):
         # header matched on its first column, extra columns ignored, blank lines skipped, padding stripped
         triples = self.make_triples(tmp_path / "t.csv")

@@ -1,11 +1,12 @@
-"""The benchmark's workloads at their smoke shapes and the README's sweep, pinned to recorded outputs.
+"""Benchmark workloads at smoke shapes, the README's sweep and synthesized bundles, pinned to recorded outputs.
 
 Bundle 0 of a seed-0 benchmark run of each workload goes through
 compress_bundle -> save_plan -> load_plan -> apply_plan -> save_bundle, and
 the sha256 of its plan's indices and of its compacted file must equal the
 ones in golden_outputs.json; so must the sha256 of the CSV that the README's
-``kvc sweep`` example writes. A change that moves outputs on purpose
-re-records that file in the same commit, and says why:
+``kvc sweep`` example writes, and of the KVT1 file of a synthesized bundle of
+each profile kind, at a shape of several row blocks. A change that moves
+outputs on purpose re-records that file in the same commit, and says why:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -20,9 +21,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kvcompactor import _pool
 from kvcompactor import EvictionPolicy, apply_plan, compress_bundle, head_scores, load_bundle, load_plan, save_bundle, save_plan
 from kvcompactor.harness import cli
-from kvcompactor.harness.synth import SynthProfile, synth_bundle
+from kvcompactor.harness.synth import SYNTH_KINDS, SynthProfile, synth_bundle
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 # compact_long's requests take r from a calibration model; the pin uses one fixed rate
@@ -42,6 +44,15 @@ README_POLICY = {
         "snap_keep_window": True,
     },
     "seed": 0,
+}
+# the pinned synthesized bundles: 2x3 heads of N=2500 rows, more than two row blocks and not a multiple of one
+SYNTH_SHAPE = {"N": 2500, "d": 48, "seed": 11}
+SYNTH_HEADS = (2, 3)
+SYNTH_FIELDS = {
+    "gaussian_iid": {},
+    "low_rank_plus_noise": {"rank": 5, "noise_sigma": 0.2},
+    "needle": {"needle_count": 3, "noise_sigma": 0.3},
+    "clustered": {"noise_sigma": 0.3},
 }
 
 
@@ -92,6 +103,13 @@ def _readme_sweep_sha256(tmp: Path) -> str:
     assert cli.main(["synth", "--profile", "needle", "--n", "1000", "--d", "64", "--seed", "0", "--out", bundle]) == 0
     assert cli.main(["sweep", "--bundle", bundle, "--policies", f"{p1},{p2}", "--rs", "0.1,0.5", "--out", out]) == 0
     return hashlib.sha256(Path(out).read_bytes()).hexdigest()
+
+
+def _synth_sha256(kind: str, tmp: Path) -> str:
+    """sha256 of the KVT1 file of the pinned synthesized bundle of one profile kind."""
+    path = tmp / f"{kind}.kvt"
+    save_bundle(synth_bundle(SynthProfile(kind=kind, **SYNTH_SHAPE, **SYNTH_FIELDS[kind]), *SYNTH_HEADS), path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _kept(bitmap: str) -> np.ndarray:
@@ -145,6 +163,28 @@ def test_readme_sweep_matches_golden(tmp_path):
     assert _readme_sweep_sha256(tmp_path) == doc["readme_sweep_sha256"], f"README sweep CSV differs; {versions}"
 
 
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("kind", SYNTH_KINDS)
+def test_synth_matches_golden(kind, cores, tmp_path, monkeypatch):
+    # the bytes must not depend on how many heads are drawn at once
+    monkeypatch.setattr(_pool, "_cores", lambda: cores)
+    doc = json.loads(GOLDEN.read_text())
+    versions = f"golden made with {doc['made_with']}, this run with {_made_with()}"
+    assert _synth_sha256(kind, tmp_path) == doc["synth_sha256"][kind], f"{kind}: synthesized bundle differs; {versions}"
+
+
+@pytest.mark.parametrize("kind", SYNTH_KINDS)
+def test_kvc_synth_writes_the_pinned_file(kind, tmp_path):
+    fields = {"rank": 0, "needle_count": 1, "noise_sigma": 0.0, **SYNTH_FIELDS[kind]}
+    out = tmp_path / "cli.kvt"
+    argv = ["synth", "--profile", kind, "--n", str(SYNTH_SHAPE["N"]), "--d", str(SYNTH_SHAPE["d"])]
+    argv += ["--rank", str(fields["rank"]), "--needle-count", str(fields["needle_count"])]
+    argv += ["--noise-sigma", str(fields["noise_sigma"]), "--seed", str(SYNTH_SHAPE["seed"])]
+    argv += ["--layers", str(SYNTH_HEADS[0]), "--heads", str(SYNTH_HEADS[1]), "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == json.loads(GOLDEN.read_text())["synth_sha256"][kind]
+
+
 def test_swap_gaps_name_each_flipped_token():
     scores = np.array([0.5, 0.1, 0.3 + 1e-7, 0.3, 0.05])
     was = np.array([True, False, False, True, False])
@@ -158,6 +198,7 @@ if __name__ == "__main__":
             "made_with": _made_with(),
             "workloads": {n: _outputs(n, Path(tmp))[0] for n in sorted(workloads.WORKLOADS)},
             "readme_sweep_sha256": _readme_sweep_sha256(Path(tmp)),
+            "synth_sha256": {kind: _synth_sha256(kind, Path(tmp)) for kind in SYNTH_KINDS},
         }
     GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {GOLDEN}")

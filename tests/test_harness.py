@@ -5,6 +5,7 @@ import pytest
 
 from kvcompactor import AttnScoreConfig, EvictionPolicy, compress_bundle, evict, exact_leverage
 from kvcompactor.errors import ParameterError
+from kvcompactor.harness import synth
 from kvcompactor.harness import (
     SynthProfile,
     bench_scaling,
@@ -20,7 +21,66 @@ from kvcompactor.harness import (
 )
 
 
+def _whole_matrix_head(profile, l, h):
+    """One head's keys, values and queries, each drawn whole in float64 and then cast to float32."""
+    n, d, sigma = profile.N, profile.d, profile.noise_sigma
+    rng = np.random.Generator(np.random.Philox(evict.child_seed(profile.seed, l, h)))
+    if profile.kind == "gaussian_iid":
+        keys = rng.standard_normal((n, d))
+    elif profile.kind == "low_rank_plus_noise":
+        keys = rng.standard_normal((n, profile.rank)) @ rng.standard_normal((profile.rank, d))
+        if sigma > 0:
+            keys += sigma * rng.standard_normal((n, d))
+    elif profile.kind == "clustered":
+        centers = 3.0 * rng.standard_normal((4, d))
+        keys = centers[rng.integers(0, 4, size=n)] + sigma * rng.standard_normal((n, d))
+    else:
+        m = profile.needle_count
+        ortho, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        coeff = rng.standard_normal((n - m, d - m))
+        if sigma > 0:
+            coeff += sigma * rng.standard_normal((n - m, d - m))
+        keys, pos = np.empty((n, d)), planted_needles(profile)
+        keys[np.setdiff1d(np.arange(n), pos)] = coeff @ ortho[:, : d - m].T
+        keys[pos] = ortho[:, d - m :].T * np.sqrt(d - m)
+    return [mat.astype(np.float32) for mat in (keys, rng.standard_normal((n, d)), rng.standard_normal((n, d)))]
+
+
+# profiles whose rows the block edges are checked on, and the row counts
+_BLOCK_CASES = {
+    "gaussian": {"kind": "gaussian_iid"},
+    "low_rank": {"kind": "low_rank_plus_noise", "rank": 3, "noise_sigma": 0.2},
+    "low_rank_no_noise": {"kind": "low_rank_plus_noise", "rank": 24},
+    "clustered": {"kind": "clustered", "noise_sigma": 0.3},
+    "needle": {"kind": "needle", "needle_count": 1},
+    "needle_noise": {"kind": "needle", "needle_count": 2, "noise_sigma": 0.3},
+}
+_BLOCK_NS = (1, 2, 1023, 1024, 1025, 1026, 2049, 2051)
+
+
 class TestSynth:
+    @pytest.mark.parametrize(
+        "name, n",
+        [(name, n) for name, fields in _BLOCK_CASES.items() for n in _BLOCK_NS if fields.get("needle_count", 0) < n],
+    )
+    def test_row_blocks_match_whole_matrix_draws(self, name, n):
+        # block edges, one-row tails (n or n - needles = 1025, 2049) and single rows all give the whole-matrix bytes
+        fields = _BLOCK_CASES[name]
+        profile = SynthProfile(N=n, d=32, seed=3, **fields)
+        bundle = synth_bundle(profile, n_layers=1, n_kv_heads=2)
+        for h in range(2):
+            want = _whole_matrix_head(profile, 0, h)
+            got = [bundle.keys[0][h], bundle.values[0][h], bundle.queries[0][h]]
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), f"head {h}"
+
+    @pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 1026, 2048, 2049, 3000])
+    def test_blocks_tile_rows_as_one_product_would(self, n):
+        # blocks start on multiples of _BLOCK (GEMM tiles line up with a whole product's) and none is a one-row GEMV
+        blocks = synth._blocks(n)
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert all(b.start % synth._BLOCK == 0 and 1 < b.stop - b.start <= synth._BLOCK + 1 for b in blocks) or n == 1
+
     def test_deterministic(self):
         p = SynthProfile(kind="low_rank_plus_noise", N=40, d=8, rank=3, noise_sigma=0.1, seed=5)
         a, b = synth_bundle(p), synth_bundle(p)
@@ -91,6 +151,11 @@ class TestSynth:
         for kind in ("gaussian_iid", "clustered"):
             with pytest.raises(ParameterError):
                 SynthProfile(**{"kind": kind, "N": 10, "d": 4, **field})
+
+    @pytest.mark.parametrize("counts", [(2.0, 1), (1, 2.0), (1, True), (True, 1), (0, 1), (1, -1), (1, "2")])
+    def test_head_counts_are_checked(self, counts):
+        with pytest.raises(ParameterError, match="n_layers|n_kv_heads"):
+            synth_bundle(SynthProfile("gaussian_iid", N=4, d=2), *counts)
 
     def test_fields_checked_only_for_their_kind(self):
         # needle_count constrains only needle profiles, rank only low-rank ones
