@@ -1,11 +1,11 @@
-"""Run independent per-head tasks on one thread per usable core.
+"""Run one independent task per (layer, head) on one thread per usable core.
 
 numpy's elementwise kernels are single-threaded and each head's GEMMs are
 too small for a second BLAS thread to pay, so heads run side by side on a
 thread pool instead. While the pool runs, the loaded OpenBLAS is held to
 one thread, else its workers spin on the cores the pool needs; the old
-count is restored afterwards. Without OpenBLAS, or with one usable core,
-the tasks run in order on the calling thread.
+count is restored afterwards. Without OpenBLAS, with one usable core, or
+when asked to, the tasks run in order on the calling thread, BLAS untouched.
 """
 
 import ctypes
@@ -45,31 +45,33 @@ def _openblas():
     return None
 
 
-def map_heads(fn, items) -> list:
-    """[fn(x) for x in items], run on min(usable cores, len(items)) threads, in input order.
+def map_heads(fn, n_layers: int, n_heads: int, in_order: bool = False) -> list:
+    """[[fn(l, h) for h in range(n_heads)] for l in range(n_layers)], on min(usable cores, L*H) threads.
 
-    The first task in input order that raises re-raises here, after the
-    running tasks finish and the ones not yet started are cancelled.
+    With ``in_order``, on the calling thread instead. The first task in (layer, head) order that raises
+    re-raises here, after the running tasks finish and the ones not yet started are cancelled.
     """
-    items = list(items)
+    heads = [(l, h) for l in range(n_layers) for h in range(n_heads)]
     try:
-        workers = min(_cores(), len(items))
-        blas = _openblas() if workers > 1 else None
+        workers = min(_cores(), len(heads))
+        blas = _openblas() if workers > 1 and not in_order else None
     except (AttributeError, OSError):  # no sched_getaffinity or no /proc: not Linux
         blas = None
     if blas is None:
-        return [fn(x) for x in items]
-    set_threads, get_threads = blas
-    with _PIN_LOCK:
-        if _pin["depth"] == 0:
-            _pin["saved"] = get_threads()
-            set_threads(1)
-        _pin["depth"] += 1
-    try:
-        with ThreadPoolExecutor(workers) as pool:
-            return list(pool.map(fn, items))
-    finally:
+        flat = [fn(l, h) for l, h in heads]
+    else:
+        set_threads, get_threads = blas
         with _PIN_LOCK:
-            _pin["depth"] -= 1
             if _pin["depth"] == 0:
-                set_threads(_pin["saved"])
+                _pin["saved"] = get_threads()
+                set_threads(1)
+            _pin["depth"] += 1
+        try:
+            with ThreadPoolExecutor(workers) as pool:
+                flat = list(pool.map(lambda lh: fn(*lh), heads))
+        finally:
+            with _PIN_LOCK:
+                _pin["depth"] -= 1
+                if _pin["depth"] == 0:
+                    set_threads(_pin["saved"])
+    return [flat[l * n_heads : (l + 1) * n_heads] for l in range(n_layers)]

@@ -171,20 +171,14 @@ def _select(policy: EvictionPolicy, s: Optional[ScoreVector], n: int, r: float, 
 
 
 def _each_head(bundle: KVBundle, fn, policy: Optional[EvictionPolicy] = None) -> list:
-    """[[fn(bundle.head(l, h), l, h) for each head h] for each layer l], on the pool.
+    """[[fn(bundle.head(l, h), l, h) for each head h] for each layer l], one pool task per (layer, head).
 
-    An h2o policy's heads run in order on the calling thread instead: one
-    h2o head's 32 MiB logits block is the whole process's scoring budget,
+    An h2o policy's heads run in order on the calling thread, BLAS untouched:
+    one h2o head's 32 MiB logits block is the whole process's scoring budget,
     and its 1024-row GEMMs already keep every BLAS thread busy.
     """
-    n_heads = bundle.n_kv_heads
-
-    def one(lh):
-        return fn(bundle.head(*lh), *lh)
-
-    heads = [(l, h) for l in range(bundle.n_layers) for h in range(n_heads)]
-    flat = [one(lh) for lh in heads] if policy is not None and policy.kind == "h2o" else map_heads(one, heads)
-    return [flat[i : i + n_heads] for i in range(0, len(flat), n_heads)]
+    h2o = policy is not None and policy.kind == "h2o"
+    return map_heads(lambda l, h: fn(bundle.head(l, h), l, h), bundle.n_layers, bundle.n_kv_heads, in_order=h2o)
 
 
 def _head_indices(policy: EvictionPolicy, ht: HeadTensors, layer: int, head: int, r: float):
@@ -203,14 +197,10 @@ def compress_bundle(bundle: KVBundle, policy: EvictionPolicy) -> RetentionPlan:
     raises DataError from its first head.
     """
     n_layers = bundle.n_layers
-    rs = policy.retention
-    if isinstance(rs, tuple):
-        if len(rs) != n_layers:
-            raise ParameterError(f"per-layer retention list has {len(rs)} entries for {n_layers} layers")
-    else:
-        rs = (rs,) * n_layers
+    rs = policy.retention if isinstance(policy.retention, tuple) else (policy.retention,) * n_layers
+    if len(rs) != n_layers:
+        raise ParameterError(f"per-layer retention list has {len(rs)} entries for {n_layers} layers")
     layers = _each_head(bundle, lambda ht, l, h: _head_indices(policy, ht, l, h, rs[l]).tolist(), policy)
-    sketch_meta = _effective_sketch(policy.sketch, bundle.head_dim, 0, 0)
     return RetentionPlan(
         retained=layers,
         retention_target=policy.retention,
@@ -218,7 +208,7 @@ def compress_bundle(bundle: KVBundle, policy: EvictionPolicy) -> RetentionPlan:
         seed=policy.seed,
         metadata={
             "policy": policy.to_json_dict(),
-            "effective_sketch_k": sketch_meta.target_dim,
+            "effective_sketch_k": _effective_sketch(policy.sketch, bundle.head_dim, 0, 0).target_dim,
             "n_layers": n_layers,
             "n_kv_heads": bundle.n_kv_heads,
             "head_dim": bundle.head_dim,

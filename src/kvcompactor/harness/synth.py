@@ -150,7 +150,7 @@ def synth_bundle(profile: SynthProfile, n_layers: int = 1, n_kv_heads: int = 1) 
     _check_field("n_layers", n_layers, "int", 1)
     _check_field("n_kv_heads", n_kv_heads, "int", 1)
     data = np.empty((n_layers, n_kv_heads, 3, profile.N, profile.d), dtype=np.float32)
-    map_heads(lambda lh: _draw_head(profile, child_seed(profile.seed, *lh), data[lh]), np.ndindex(n_layers, n_kv_heads))
+    map_heads(lambda l, h: _draw_head(profile, child_seed(profile.seed, l, h), data[l, h]), n_layers, n_kv_heads)
     # one list serves as both key groups, so each pre-rope key is the cached key object itself
     keys = [[data[l, h, 0] for h in range(n_kv_heads)] for l in range(n_layers)]
     return KVBundle(keys=keys, values=data[:, :, 1], keys_prerope=keys, queries=data[:, :, 2])

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ..errors import ParameterError
+from ..errors import ParameterError, _check_field
 from ..evict import child_seed
 from ..leverage import approx_leverage, exact_leverage
 from ..sketch import SketchSpec
@@ -65,8 +65,8 @@ def verify_spectral(
     seed: int = 0,
 ) -> dict:
     """Success rate of the two-sided spectral sandwich under leverage sampling."""
-    if k < 1 or trials < 1:
-        raise ParameterError("k and trials must be >= 1")
+    for name, value in (("N", N), ("d", d), ("k", k), ("trials", trials)):
+        _check_field(name, value, "int", 1)
     successes = 0
     worst = math.inf
     for t in range(trials):
@@ -94,6 +94,8 @@ def verify_spectral(
 
 def conditioned_matrix(N: int, d: int, kappa: float, rng: np.random.Generator) -> np.ndarray:
     """Random N x d matrix with condition number exactly `kappa`."""
+    _check_field("d", d, "int", 1)
+    _check_field("N", N, "int", d)
     if kappa < 1.0:
         raise ParameterError(f"kappa must be >= 1, got {kappa}")
     left, _ = np.linalg.qr(rng.standard_normal((N, d)))

@@ -161,20 +161,24 @@ class KVBundle:
         keys = tensors["keys"]
         if len(keys) < 1 or len(keys[0]) < 1:
             raise ParameterError("bundle needs at least one layer and one head")
-        n_heads, d = len(keys[0]), keys[0][0].shape[1]
-        # the scans run on the pool; the loop below reads them in order, so the first bad matrix is the one named
-        mats = [mat for group in tensors.values() for layer in group for mat in layer]
-        finite = dict(zip(map(id, mats), map_heads(_finite, mats)))
+        n_layers, n_heads, d = len(keys), len(keys[0]), keys[0][0].shape[1]
         for name, group in tensors.items():
-            if len(group) != len(keys) or any(len(layer) != n_heads for layer in group):
-                raise ParameterError(f"{name}: expected {len(keys)} layers of {n_heads} heads")
-            # a short keys layer can end zip early here, but keys' own turn rejects it
-            for l, (layer, key_layer) in enumerate(zip(group, keys)):
-                for h, (mat, k) in enumerate(zip(layer, key_layer)):
-                    want = (k.shape[0], d)
+            if len(group) != n_layers or any(len(layer) != n_heads for layer in group):
+                raise ParameterError(f"{name}: expected {n_layers} layers of {n_heads} heads")
+
+        def scan(l, h):  # a matrix that two groups share is scanned once
+            mats = {id(group[l][h]): group[l][h] for group in tensors.values()}
+            return {key: _finite(mat) for key, mat in mats.items()}
+
+        # the scans run on the pool; the loop below reads them in order, so the first bad matrix is the one named
+        finite = map_heads(scan, n_layers, n_heads)
+        for name, group in tensors.items():
+            for l, layer in enumerate(group):
+                for h, mat in enumerate(layer):
+                    want = (keys[l][h].shape[0], d)
                     if mat.shape != want or min(want) < 1:
                         raise ParameterError(f"{name}[{l}][{h}]: bad shape {mat.shape} (keys give {want}; seq, dim >= 1)")
-                    if not finite[id(mat)]:
+                    if not finite[l][h][id(mat)]:
                         raise DataError(f"{name}[{l}][{h}]: bundle contains non-finite values")
         for name, _ in _LAYOUT:
             object.__setattr__(self, name, tensors.get(name))
@@ -251,13 +255,13 @@ def save_bundle(bundle: KVBundle, path) -> None:
         fh.write(header)
 
 
-def _read_span(fd: int, payload: memoryview, start: int, stop: int, path) -> None:
-    """Read payload bytes [start, stop) of the file at fd into payload; a 0-byte read before stop is a TruncationError."""
-    while start < stop:
-        n = os.preadv(fd, [payload[start:stop]], _HEADER.size + start)
+def _read_span(fd: int, payload: memoryview, start: int, size: int, path) -> None:
+    """Fill payload[start : start + size] from the file at fd; a 0-byte read before the end is a TruncationError."""
+    while size:
+        n = os.preadv(fd, [payload[start : start + size]], _HEADER.size + start)
         if n == 0:
             raise TruncationError(f"{path}: payload ends at byte {start}, before the size its header declares")
-        start += n
+        start, size = start + n, size - n
 
 
 def load_bundle(path) -> KVBundle:
@@ -291,7 +295,7 @@ def load_bundle(path) -> KVBundle:
             raise TruncationError(f"{path}: payload is {size} bytes, header declares {expected}")
         data = np.empty((n_layers, n_heads, len(names), seq_len, head_dim), dtype="<f4")
         payload, fd = memoryview(data).cast("B"), fh.fileno()
-        map_heads(lambda i: _read_span(fd, payload, i * head_bytes, (i + 1) * head_bytes, path), range(n_layers * n_heads))
+        map_heads(lambda l, h: _read_span(fd, payload, (l * n_heads + h) * head_bytes, head_bytes, path), n_layers, n_heads)
     try:
         return KVBundle(**{name: data[:, :, slot] for slot, name in enumerate(names)})
     except DataError as exc:
@@ -394,11 +398,9 @@ def load_plan(path) -> RetentionPlan:
     """Read and invariant-check a plan file."""
     doc = _read_json(path)
     try:
-        version = doc["version"]
-        target = doc["retention_target"]
-        policy_name = doc["policy_name"]
-        seed = doc["seed"]
-        layers = doc["layers"]
+        version, target, policy_name, seed, layers = (
+            doc[key] for key in ("version", "retention_target", "policy_name", "seed", "layers")
+        )
     except KeyError as exc:
         raise FormatError(f"{path}: missing plan key {exc}") from exc
     if version != PLAN_VERSION:
@@ -407,6 +409,10 @@ def load_plan(path) -> RetentionPlan:
         isinstance(layer, list) and all(isinstance(head, list) for head in layer) for layer in layers
     ):
         raise FormatError(f"{path}: layers must be a list of layers, each a list of per-head index lists")
+    if not isinstance(policy_name, str):
+        raise FormatError(f"{path}: policy_name must be a string, got {policy_name!r}")
+    if seed is not None and type(seed) is not int:  # JSON gives int, float, bool, str, list, dict or None
+        raise FormatError(f"{path}: seed must be an integer or null, got {seed!r}")
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise FormatError(f"{path}: plan metadata must be a JSON object")
@@ -440,11 +446,10 @@ def apply_plan(bundle: KVBundle, plan: RetentionPlan) -> KVBundle:
     # "clip" never clips, as every index was range-checked above, and unlike "raise" it writes straight into out
     d = bundle.head_dim
     out = {name: [[np.empty((i.size, d), np.float32) for i in picks] for picks in rows] for name, _ in _present(bundle)}
-    gathers = [
-        (src, i, dst)
-        for name, outs in out.items()
-        for layer, picks, dsts in zip(getattr(bundle, name), rows, outs)
-        for src, i, dst in zip(layer, picks, dsts)
-    ]
-    map_heads(lambda g: np.take(g[0], g[1], axis=0, out=g[2], mode="clip"), gathers)
+
+    def gather(l, h):  # every present tensor of head (l, h)
+        for name, dst in out.items():
+            np.take(getattr(bundle, name)[l][h], rows[l][h], axis=0, out=dst[l][h], mode="clip")
+
+    map_heads(gather, bundle.n_layers, bundle.n_kv_heads)
     return KVBundle(**out)

@@ -105,6 +105,14 @@ def row_basis(khat: np.ndarray, method: BasisMethod = BasisMethod()) -> np.ndarr
     return _basis_and_rank(khat, method)[0]
 
 
+def _matrix(K) -> np.ndarray:
+    """K as an array; ParameterError unless it is 2-D with at least one row and one column."""
+    K = np.asarray(K)
+    if K.ndim != 2 or min(K.shape) < 1:
+        raise ParameterError(f"K must be 2-D with at least one row and one column, got shape {K.shape}")
+    return K
+
+
 def approx_leverage(
     K: np.ndarray, sketch: SketchSpec, method: BasisMethod = BasisMethod()
 ) -> LeverageResult:
@@ -115,9 +123,7 @@ def approx_leverage(
     scores; smaller k trades accuracy for speed, degrading with the
     condition number of K.
     """
-    K = np.asarray(K)
-    if K.ndim != 2:
-        raise ParameterError("K must be 2-D")
+    K = _matrix(K)
     if not _finite(K):
         raise DataError("K contains non-finite values")
     khat = apply_sketch(K, sketch)
@@ -128,8 +134,5 @@ def approx_leverage(
 
 def exact_leverage(K: np.ndarray, method: BasisMethod = BasisMethod()) -> LeverageResult:
     """Exact leverage scores via the Gram identity (no sketching)."""
-    K = np.asarray(K)
-    if K.ndim != 2:
-        raise ParameterError("K must be 2-D")
-    none = SketchSpec(kind="none", target_dim=K.shape[1] if K.shape[1] >= 1 else 1)
-    return approx_leverage(K, none, method)
+    K = _matrix(K)
+    return approx_leverage(K, SketchSpec(kind="none", target_dim=K.shape[1]), method)

@@ -392,6 +392,17 @@ class TestVerifyCli:
             run(capsys, "verify", "thm2", "--n", 64, "--d", 4, "--k", 4, "--trials", 2, "--seed", 5, "--out", out)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [(("thm1", "--d", 0, "--k", 5), "d"), (("thm1", "--n", 0, "--k", 5), "N"), (("thm2", "--n", 10, "--d", 20), "N")],
+        ids=["thm1_d0", "thm1_n0", "thm2_n_below_d"],
+    )
+    def test_bad_shape_is_input_error(self, tmp_path, capsys, argv, name):
+        out = tmp_path / "v.csv"
+        code, _, err = run(capsys, "verify", *argv, "--trials", 2, "--out", out)
+        assert code == 2 and err.startswith(f"error: {name} must be >= ")
+        assert not out.exists()
+
 
 class TestBenchSweepCli:
     def test_bench_csv(self, tmp_path, capsys):

@@ -308,7 +308,7 @@ class TestHeadPool:
             barrier.wait()  # breaks unless two tasks run at once
             return x, get_threads()
 
-        assert _pool.map_heads(task, range(4)) == [(x, 1) for x in range(4)]
+        assert _pool.map_heads(lambda _, h: task(h), 1, 4)[0] == [(x, 1) for x in range(4)]
         assert get_threads() == before
 
     @needs_openblas
@@ -320,7 +320,7 @@ class TestHeadPool:
         def caller():
             try:
                 for _ in range(20):
-                    assert _pool.map_heads(lambda x: (x, inside.append(get_threads()))[0], range(3)) == [0, 1, 2]
+                    assert _pool.map_heads(lambda _, x: (x, inside.append(get_threads()))[0], 1, 3)[0] == [0, 1, 2]
             except BaseException as exc:  # reported by the assertion below
                 errors.append(exc)
 
@@ -399,6 +399,33 @@ class TestHeadPool:
         no_queries = KVBundle(keys=pool_bundle.keys, values=pool_bundle.values, keys_prerope=pool_bundle.keys_prerope)
         with pytest.raises(DataError, match=r"^head \(0, 0\): snapkv policy needs queries$"):
             compress_bundle(no_queries, EvictionPolicy(kind="snapkv", retention=0.5))
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_map_heads_returns_layers_of_heads(self, monkeypatch, cores):
+        monkeypatch.setattr(_pool, "_cores", lambda: cores)
+        assert _pool.map_heads(lambda l, h: (l, h), 2, 3) == [[(l, h) for h in range(3)] for l in range(2)]
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_map_heads_reraises_first_failing_head(self, monkeypatch, cores):
+        monkeypatch.setattr(_pool, "_cores", lambda: cores)
+
+        def task(l, h):
+            if (l, h) == (0, 2):
+                time.sleep(0.05)  # let the later head fail first
+            if (l, h) in ((0, 2), (1, 0)):
+                raise DataError(f"head ({l}, {h})")
+            return l, h
+
+        with pytest.raises(DataError, match=r"^head \(0, 2\)$"):
+            _pool.map_heads(task, 2, 3)
+
+    @needs_openblas
+    def test_map_heads_in_order_runs_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(_pool, "_cores", lambda: 2)
+        _, get_threads = _blas()
+        before, seen = get_threads(), []
+        _pool.map_heads(lambda l, h: seen.append(((l, h), threading.get_ident(), get_threads())), 2, 3, in_order=True)
+        assert seen == [((l, h), threading.get_ident(), before) for l in range(2) for h in range(3)]
 
 
 class TestPolicySerialization:

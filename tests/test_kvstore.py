@@ -14,6 +14,7 @@ from kvcompactor import _pool, kvstore
 from kvcompactor import EvictionPolicy, KVBundle, RetentionPlan, apply_plan, load_bundle, load_plan, retained_count
 from kvcompactor import save_bundle, save_plan
 from kvcompactor.errors import DataError, FormatError, ParameterError, PlanMismatchError, TruncationError
+from kvcompactor.harness import SynthProfile, synth_bundle
 from kvcompactor.harness.cli import main
 
 HEADER = struct.Struct("<4sIIIIB")
@@ -176,6 +177,23 @@ class TestBundleFormat:
         tensors["keys_prerope"][1, 1, 0, 0] = np.inf
         with pytest.raises(DataError, match=r"^keys_prerope\[1\]\[1\]: bundle contains non-finite values$"):
             KVBundle(**tensors)
+
+    def test_structure_checked_before_finiteness(self):
+        # every group's layer and head counts are checked before any matrix is scanned
+        keys = np.full((2, 2, 4, 3), np.nan, dtype=np.float32)
+        with pytest.raises(ParameterError, match=r"^queries: expected 2 layers of 2 heads$"):
+            KVBundle(keys=keys, values=keys, queries=keys[:1])
+
+    def test_shared_matrix_scanned_once(self, monkeypatch, tmp_path):
+        # a synth bundle's pre-rope keys are its keys: 3 distinct matrices per head, where a loaded one has 4
+        scans, real = [], kvstore._finite
+        monkeypatch.setattr(kvstore, "_finite", lambda mat: scans.append(mat.shape) or real(mat))
+        bundle = synth_bundle(SynthProfile(kind="gaussian_iid", N=8, d=4), n_layers=2, n_kv_heads=3)
+        assert len(scans) == 3 * 2 * 3
+        save_bundle(bundle, tmp_path / "b.kvt")
+        scans.clear()
+        load_bundle(tmp_path / "b.kvt")
+        assert len(scans) == 4 * 2 * 3
 
 
     @settings(max_examples=80, deadline=None)
@@ -465,6 +483,20 @@ class TestRetentionPlan:
         path = self.plan_file(tmp_path / "plan.json", '[[[0]]], "metadata": ' + metadata)
         with pytest.raises(FormatError, match="plan.json"):
             load_plan(path)
+
+    @pytest.mark.parametrize(
+        "key, value", [("policy_name", ["x"]), ("policy_name", None), ("seed", "abc"), ("seed", True), ("seed", 1.5)]
+    )
+    def test_policy_name_and_seed_types(self, tmp_path, capsys, key, value):
+        doc = {"version": 1, "retention_target": 0.5, "policy_name": "x", "seed": None, "layers": [[[0]]], key: value}
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=f"plan.json: {key} must be"):
+            load_plan(plan)
+        save_bundle(make_bundle(np.random.default_rng(9), heads=1), tmp_path / "b.kvt")
+        code = main(["apply", "--bundle", str(tmp_path / "b.kvt"), "--plan", str(plan), "--out", str(tmp_path / "o.kvt")])
+        assert code == 2 and key in capsys.readouterr().err
+        assert not (tmp_path / "o.kvt").exists()
 
     def test_integer_retention_target_from_json(self, tmp_path):
         path = tmp_path / "plan.json"

@@ -39,6 +39,13 @@ class TestExactLeverage:
         with pytest.raises(DataError):
             exact_leverage(np.array([[np.nan, 1.0]]))
 
+    @pytest.mark.parametrize("shape", [(5, 0), (0, 5)])
+    def test_empty_matrix_rejected(self, shape):
+        with pytest.raises(ParameterError, match="at least one row and one column"):
+            exact_leverage(np.zeros(shape))
+        with pytest.raises(ParameterError, match="at least one row and one column"):
+            approx_leverage(np.zeros(shape), SketchSpec("gaussian", 4))
+
     def test_column_space_invariance(self):
         rng = np.random.default_rng(1)
         K = rng.standard_normal((50, 6))
