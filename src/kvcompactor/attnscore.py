@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterError, _check_field
+from .errors import ParameterError, _check_field, _check_matrix
 from .kvstore import ScoreVector
 
 _LOGITS_BYTES = 32 << 20  # bytes of logits, in the input dtype, per causal row block
@@ -60,14 +60,14 @@ class AttnScoreConfig:
     snap_keep_window: bool = True
 
     def __post_init__(self):
-        _check_field("chunk_size", self.chunk_size, "int", 1)
-        _check_field("pool_window", self.pool_window, "int", 1)
+        _check_field("chunk_size", self.chunk_size, "int", "[1, inf)")
+        _check_field("pool_window", self.pool_window, "int", "[1, inf)")
         if self.pool_window % 2 == 0:
             raise ParameterError(f"pool_window must be odd, got {self.pool_window}")
         if self.scale is not None:
             _check_field("scale", self.scale, "real")
         _check_field("value_norm", self.value_norm, "bool")
-        _check_field("baseline_window", self.baseline_window, "int", 1)
+        _check_field("baseline_window", self.baseline_window, "int", "[1, inf)")
         _check_field("snap_keep_window", self.snap_keep_window, "bool")
 
     def to_json_dict(self) -> dict:
@@ -80,13 +80,11 @@ class AttnScoreConfig:
 
 def _check_pair(Q, K):
     """Q and K as C-contiguous arrays of one dtype: float32 if both are float32, else float64."""
-    Q, K = np.asarray(Q), np.asarray(K)
-    dtype = np.float32 if Q.dtype == K.dtype == np.float32 else np.float64
-    Q = np.ascontiguousarray(Q, dtype=dtype)
-    K = np.ascontiguousarray(K, dtype=dtype)
-    if Q.ndim != 2 or K.ndim != 2 or Q.shape != K.shape:
+    Q, K = _check_matrix("Q", Q), _check_matrix("K", K)
+    if Q.shape != K.shape:
         raise ParameterError(f"Q and K must share one (N, d) shape, got {Q.shape} and {K.shape}")
-    return Q, K
+    dtype = np.float32 if Q.dtype == K.dtype == np.float32 else np.float64
+    return np.ascontiguousarray(Q, dtype=dtype), np.ascontiguousarray(K, dtype=dtype)
 
 
 def _scale(cfg: AttnScoreConfig, d: int) -> float:
@@ -167,8 +165,9 @@ def snapkv_scores(Q: np.ndarray, K: np.ndarray, cfg: AttnScoreConfig = AttnScore
 
 def mean_pool(scores: ScoreVector, window: int) -> ScoreVector:
     """Centered moving average with edge truncation; length preserved."""
-    if window < 1 or window % 2 == 0:
-        raise ParameterError(f"pooling window must be odd and >= 1, got {window}")
+    _check_field("window", window, "int", "[1, inf)")
+    if window % 2 == 0:
+        raise ParameterError(f"window must be odd, got {window}")
     if window == 1:
         return scores
     v = scores.scores
@@ -182,8 +181,8 @@ def mean_pool(scores: ScoreVector, window: int) -> ScoreVector:
 
 def value_norm_scale(scores: ScoreVector, V: np.ndarray) -> ScoreVector:
     """Scale each token's score by the Euclidean norm of its value row."""
-    V = np.asarray(V)
-    if V.ndim != 2 or V.shape[0] != len(scores):
+    V = _check_matrix("V", V)
+    if V.shape[0] != len(scores):
         raise ParameterError(f"values shape {V.shape} does not match {len(scores)} scores")
     norms = np.sqrt(np.einsum("ij,ij->i", V, V, dtype=np.float64))
     return ScoreVector(scores.scores * norms, kind=scores.kind)

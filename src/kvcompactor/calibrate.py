@@ -39,6 +39,7 @@ from .kvstore import _read_json, _text_file
 _GRID_ALPHA = (-2.0, -1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0, 2.0)
 _GRID_BETA = (0.05, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
 _K_MIN = 1e-3
+_NLL = "[0, inf)"  # the domain of a context NLL, in a triple, a queries file or an argument
 
 
 @dataclass(frozen=True)
@@ -50,12 +51,9 @@ class CalibTriple:
     y: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.r) and 0.0 < self.r <= 1.0):
-            raise DataError(f"r must be in (0, 1], got {self.r}")
-        if not (math.isfinite(self.nll_c) and self.nll_c >= 0.0):
-            raise DataError(f"nll_c must be finite and >= 0, got {self.nll_c}")
-        if not (math.isfinite(self.y) and self.y > 0.0):
-            raise DataError(f"y must be finite and positive, got {self.y}")
+        _check_field("r", self.r, "real", "(0, 1]", DataError)
+        _check_field("nll_c", self.nll_c, "real", _NLL, DataError)
+        _check_field("y", self.y, "real", "(0, inf)", DataError)
 
 
 @dataclass(frozen=True)
@@ -71,30 +69,26 @@ class CalibrationModel:
     def __post_init__(self):
         _check_field("alpha", self.alpha, "real")
         _check_field("beta", self.beta, "real")
-        _check_field("k_min", self.k_min, "real")
-        if self.k_min <= 0.0:
-            raise ParameterError(f"k_min must be positive, got {self.k_min}")
+        _check_field("k_min", self.k_min, "real", "(0, inf)")
         _check_field("fit_rmse", self.fit_rmse, "real")
         _check_field("n_points", self.n_points, "int")
 
 
 def _steepness(nll_c: float, model: CalibrationModel) -> float:
-    _check_field("nll_c", nll_c, "real", 0)
+    _check_field("nll_c", nll_c, "real", _NLL)
     return max(model.alpha * nll_c + model.beta, model.k_min)
 
 
 def calib_value(r: float, nll_c: float, model: CalibrationModel) -> float:
     """Predicted NLL ratio when retaining fraction r of a context with the given NLL."""
-    if not 0.0 <= r <= 1.0:
-        raise ParameterError(f"r must be in [0, 1], got {r}")
+    _check_field("r", r, "real", "[0, 1]")
     k = _steepness(nll_c, model)
     return math.exp((r - 1.0) * k) * math.expm1(-r * k) / math.expm1(-k)
 
 
 def invert_retention(nll_c: float, tau: float, model: CalibrationModel) -> float:
     """Smallest retention rate whose predicted quality reaches tau (closed form)."""
-    if not 0.0 < tau <= 1.0:
-        raise ParameterError(f"tau must be in (0, 1], got {tau}")
+    _check_field("tau", tau, "real", "(0, 1]")
     k = _steepness(nll_c, model)
     r = 1.0 + math.log(tau + (1.0 - tau) * math.exp(-k)) / k
     return min(1.0, max(r, 1e-12))
@@ -165,7 +159,7 @@ def fit_calibration(triples, under_penalty: float = 4.0, max_iter: int = 200) ->
     the lowest-objective run.
     """
     triples = list(triples)
-    _check_field("under_penalty", under_penalty, "real", 1.0)
+    _check_field("under_penalty", under_penalty, "real", "[1.0, inf)")
     rs = np.array([t.r for t in triples])
     if rs.size < 2 or np.unique(rs).size < 2:
         raise DegenerateFitError("need at least 2 triples with 2 distinct retention rates")
@@ -185,31 +179,48 @@ def fit_calibration(triples, under_penalty: float = 4.0, max_iter: int = 200) ->
     return model
 
 
-def load_triples(path) -> list:
-    """Parse a CSV of training triples with header ``r,nll_c,y``."""
-    out = []
+def _csv_rows(path, header: tuple, make, exact: bool) -> list:
+    """make(*floats) of each row's first len(header) fields, below a header that starts with `header`.
+
+    With `exact`, the header and every row have exactly those fields. Names
+    are compared unpadded and blank lines are skipped. A bad header, width or
+    number is a FormatError and a value `make` rejects a DataError, each naming its line.
+    """
+    out, width = [], len(header)
     with _text_file(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file, expected header r,nll_c,y") from None
-        if [c.strip() for c in header] != ["r", "nll_c", "y"]:
-            raise FormatError(f"{path}: expected header r,nll_c,y, got {','.join(header)}")
+        names = [name.strip() for name in next(reader, [])]
+        if (names if exact else names[:width]) != list(header):
+            raise FormatError(f"{path}: line 1: expected header {','.join(header)}, got {','.join(names)!r}")
         for lineno, row in enumerate(reader, start=2):
-            if not row:
+            if len(row) < 2 and not "".join(row).strip():
                 continue
-            if len(row) != 3:
-                raise FormatError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
+            if exact and len(row) != width:
+                raise FormatError(f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
             try:
-                r, nll_c, y = (float(x) for x in row)
+                values = [float(x) for x in row[:width]]
             except ValueError as exc:
                 raise FormatError(f"{path}: line {lineno}: {exc}") from exc
             try:
-                out.append(CalibTriple(r=r, nll_c=nll_c, y=y))
+                out.append(make(*values))
             except DataError as exc:
                 raise DataError(f"{path}: line {lineno}: {exc}") from exc
     return out
+
+
+def load_triples(path) -> list:
+    """Parse a CSV of training triples with header ``r,nll_c,y``."""
+    return _csv_rows(path, ("r", "nll_c", "y"), CalibTriple, exact=True)
+
+
+def _checked_nll(nll_c: float) -> float:
+    _check_field("nll_c", nll_c, "real", _NLL, DataError)
+    return nll_c
+
+
+def _read_nlls(path) -> list:
+    """The context NLLs of a ``calib plan --queries`` CSV: header ``nll_c,...``, one NLL first on each line."""
+    return _csv_rows(path, ("nll_c",), _checked_nll, exact=False)
 
 
 def save_model(model: CalibrationModel, path) -> None:

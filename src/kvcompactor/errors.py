@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the field check that raises ParameterError."""
+"""Exception types shared across the package, and the two argument checks: one for a scalar, one for a matrix."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 class CompactorError(Exception):
@@ -46,11 +48,15 @@ class ConvergenceError(CompactorError):
 _KINDS = {"int": "an integer", "real": "a finite real number", "bool": "true or false"}
 
 
-def _check_field(name: str, value, kind: str, low=None) -> None:
-    """Raise ParameterError unless `value` is of `kind` ("int", "real" or "bool") and >= `low`.
+def _check_field(name: str, value, kind: str, interval: str = None, error=ParameterError) -> None:
+    """Raise `error` unless `value` is of `kind` ("int", "real" or "bool") and lies in `interval`.
 
     A bool is neither an int nor a real here, a str is neither, and a real
     must be finite; numpy scalars count as the Python number they hold.
+    `interval` is open or closed at each end, as in "(0, 1]" or "[1, inf)",
+    and may hold a computed bound (f"[{d}, inf)"); None checks the kind
+    alone. `error` is ParameterError for an argument and DataError for a
+    value read from a file.
     """
     if kind == "bool":
         ok = isinstance(value, bool)
@@ -59,6 +65,21 @@ def _check_field(name: str, value, kind: str, low=None) -> None:
     else:
         ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
     if not ok:
-        raise ParameterError(f"{name} must be {_KINDS[kind]}, got {value!r}")
-    if low is not None and value < low:
-        raise ParameterError(f"{name} must be >= {low}, got {value!r}")
+        raise error(f"{name} must be {_KINDS[kind]}, got {value!r}")
+    if interval is None:
+        return
+    low_text, high_text = interval[1:-1].split(",")
+    low, high, low_open = float(low_text), float(high_text), interval[0] == "("
+    if (value > low if low_open else value >= low) and (value < high if interval[-1] == ")" else value <= high):
+        return
+    if high == math.inf:
+        raise error(f"{name} must be {'>' if low_open else '>='} {low_text}, got {value!r}")
+    raise error(f"{name} must be in {interval}, got {value!r}")
+
+
+def _check_matrix(name: str, value) -> np.ndarray:
+    """`value` as an array; ParameterError unless it is 2-D with at least one row and one column."""
+    value = np.asarray(value)
+    if value.ndim != 2 or min(value.shape) < 1:
+        raise ParameterError(f"{name} must be 2-D with at least one row and one column, got shape {value.shape}")
+    return value

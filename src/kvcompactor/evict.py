@@ -49,8 +49,8 @@ class EvictionPolicy:
         if self.kind not in POLICY_KINDS:
             raise ParameterError(f"unknown policy kind {self.kind!r}")
         object.__setattr__(self, "retention", _rates(self.retention, ParameterError))
-        _check_field("lambda", self.lam, "real", 0)
-        _check_field("policy seed", self.seed, "int", 0)
+        _check_field("lambda", self.lam, "real", "[0, inf)")
+        _check_field("policy seed", self.seed, "int", "[0, inf)")
 
     def to_json_dict(self) -> dict:
         return {
@@ -82,8 +82,7 @@ def blend_scores(a: ScoreVector, o: ScoreVector, lam: float) -> ScoreVector:
     """s = zscore(a) + lam * zscore(o), population std with epsilon guard."""
     if len(a) != len(o):
         raise ParameterError(f"score lengths differ: {len(a)} vs {len(o)}")
-    if not np.isfinite(lam):
-        raise ParameterError("lambda must be finite")
+    _check_field("lambda", lam, "real")
     return ScoreVector(_zscore(a.scores) + lam * _zscore(o.scores), kind="blended")
 
 
@@ -102,8 +101,7 @@ def select_topk(s, r: float) -> np.ndarray:
 
 def random_eviction(n: int, r: float, seed: int) -> np.ndarray:
     """Seeded uniform sample without replacement of max(1, ceil(r*n)) indices, sorted."""
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    _check_field("n", n, "int", "[1, inf)")
     k = retained_count(r, n)
     rng = np.random.Generator(np.random.Philox(seed))
     return np.sort(rng.choice(n, size=k, replace=False))

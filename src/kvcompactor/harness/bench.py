@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from ..errors import ParameterError
+from ..errors import ParameterError, _check_field
 from ..evict import EvictionPolicy, _head_indices, child_seed
 from ..kvstore import HeadTensors
 
@@ -39,8 +39,8 @@ def bench_scaling(
     n_list = list(n_list)
     if len(n_list) < 1 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ParameterError("n_list must be ascending")
-    if repeats < 1 or warmup < 0:
-        raise ParameterError("need repeats >= 1 and warmup >= 0")
+    _check_field("repeats", repeats, "int", "[1, inf)")
+    _check_field("warmup", warmup, "int", "[0, inf)")
     r = policy.retention if isinstance(policy.retention, float) else policy.retention[0]
 
     rows = []

@@ -17,9 +17,9 @@ from dataclasses import replace
 from functools import partial
 
 from .. import calibrate
-from ..errors import CompactorError, DataError, FormatError, ParameterError
+from ..errors import CompactorError, FormatError, ParameterError
 from ..evict import EvictionPolicy, _each_head, compress_bundle, head_scores
-from ..kvstore import _read_json, _text_file, apply_plan, load_bundle, load_plan, save_bundle, save_plan
+from ..kvstore import _read_json, apply_plan, load_bundle, load_plan, save_bundle, save_plan
 from . import report
 from .bench import bench_scaling
 from .sweep import sweep_policies
@@ -127,22 +127,8 @@ def _cmd_calib_plan(args):
     if args.queries is not None:
         if args.out is None:
             raise CompactorError("--queries needs --out for the result CSV")
-        rows = []
-        with _text_file(args.queries) as fh:
-            if fh.readline().strip().split(",")[:1] != ["nll_c"]:
-                raise FormatError(f"{args.queries}: line 1: expected header nll_c")
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    nll = float(line.split(",")[0])
-                except ValueError as exc:
-                    raise FormatError(f"{args.queries}: line {lineno}: {exc}") from exc
-                try:
-                    rows.append({"nll_c": nll, "r_star": calibrate.invert_retention(nll, args.tau, model)})
-                except ValueError as exc:  # an NLL or tau outside its domain
-                    raise DataError(f"{args.queries}: line {lineno}: {exc}") from exc
+        nlls = calibrate._read_nlls(args.queries)
+        rows = [{"nll_c": nll, "r_star": calibrate.invert_retention(nll, args.tau, model)} for nll in nlls]
         report.write_csv(args.out, rows, ["nll_c", "r_star"])
         print(f"wrote {args.out}: {len(rows)} retention rates")
         return EXIT_OK

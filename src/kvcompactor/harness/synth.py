@@ -37,12 +37,12 @@ class SynthProfile:
         if self.kind not in SYNTH_KINDS:
             raise ParameterError(f"unknown profile kind {self.kind!r}")
         for name, low in (("N", 1), ("d", 1), ("rank", 0), ("needle_count", 0), ("seed", 0)):
-            _check_field(name, getattr(self, name), "int", low)
-        _check_field("noise_sigma", self.noise_sigma, "real", 0)
-        if self.kind == "low_rank_plus_noise" and not 1 <= self.rank <= self.d:
-            raise ParameterError(f"rank must be in [1, d], got {self.rank}")
-        if self.kind == "needle" and not 1 <= self.needle_count < min(self.N, self.d):
-            raise ParameterError("needle_count must be in [1, min(N, d))")
+            _check_field(name, getattr(self, name), "int", f"[{low}, inf)")
+        _check_field("noise_sigma", self.noise_sigma, "real", "[0, inf)")
+        if self.kind == "low_rank_plus_noise":
+            _check_field("rank", self.rank, "int", f"[1, {self.d}]")
+        if self.kind == "needle":
+            _check_field("needle_count", self.needle_count, "int", f"[1, {min(self.N, self.d)})")
 
 
 def planted_needles(profile: SynthProfile) -> np.ndarray:
@@ -147,8 +147,8 @@ def synth_bundle(profile: SynthProfile, n_layers: int = 1, n_kv_heads: int = 1) 
     profile's own whole arrays: N x rank for low_rank_plus_noise and
     (N - needle_count) x (d - needle_count) for needle.
     """
-    _check_field("n_layers", n_layers, "int", 1)
-    _check_field("n_kv_heads", n_kv_heads, "int", 1)
+    _check_field("n_layers", n_layers, "int", "[1, inf)")
+    _check_field("n_kv_heads", n_kv_heads, "int", "[1, inf)")
     data = np.empty((n_layers, n_kv_heads, 3, profile.N, profile.d), dtype=np.float32)
     map_heads(lambda l, h: _draw_head(profile, child_seed(profile.seed, l, h), data[l, h]), n_layers, n_kv_heads)
     # one list serves as both key groups, so each pre-rope key is the cached key object itself

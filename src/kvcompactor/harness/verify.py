@@ -19,10 +19,17 @@ from ..sketch import SketchSpec
 _PSD_TOL = 1e-9
 
 
+def _check_sampling(epsilon: float, delta: float) -> None:
+    """The distortion epsilon and failure probability delta of a sampling bound, each in (0, 1)."""
+    _check_field("epsilon", epsilon, "real", "(0, 1)")
+    _check_field("delta", delta, "real", "(0, 1)")
+
+
 def sample_size(d: int, epsilon: float, delta: float, c: float) -> int:
     """Row-sample count C * d * log(d / delta) / epsilon^2, rounded up."""
-    if d < 1 or not 0 < epsilon < 1 or not 0 < delta < 1 or c <= 0:
-        raise ParameterError("need d >= 1, epsilon and delta in (0, 1), c > 0")
+    _check_field("d", d, "int", "[1, inf)")
+    _check_sampling(epsilon, delta)
+    _check_field("c", c, "real", "(0, inf)")
     return math.ceil(c * d * math.log(d / delta) / (epsilon * epsilon))
 
 
@@ -66,7 +73,8 @@ def verify_spectral(
 ) -> dict:
     """Success rate of the two-sided spectral sandwich under leverage sampling."""
     for name, value in (("N", N), ("d", d), ("k", k), ("trials", trials)):
-        _check_field(name, value, "int", 1)
+        _check_field(name, value, "int", "[1, inf)")
+    _check_sampling(epsilon, delta)
     successes = 0
     worst = math.inf
     for t in range(trials):
@@ -94,10 +102,9 @@ def verify_spectral(
 
 def conditioned_matrix(N: int, d: int, kappa: float, rng: np.random.Generator) -> np.ndarray:
     """Random N x d matrix with condition number exactly `kappa`."""
-    _check_field("d", d, "int", 1)
-    _check_field("N", N, "int", d)
-    if kappa < 1.0:
-        raise ParameterError(f"kappa must be >= 1, got {kappa}")
+    _check_field("d", d, "int", "[1, inf)")
+    _check_field("N", N, "int", f"[{d}, inf)")
+    _check_field("kappa", kappa, "real", "[1, inf)")
     left, _ = np.linalg.qr(rng.standard_normal((N, d)))
     right, _ = np.linalg.qr(rng.standard_normal((d, d)))
     spectrum = np.geomspace(kappa, 1.0, d)
@@ -126,8 +133,10 @@ def verify_thm2(
     target_epsilon: float | None = None,
 ) -> dict:
     """Per-trial tightest distortion of approximate vs exact leverage scores."""
-    if k < 1 or trials < 1:
-        raise ParameterError("k and trials must be >= 1")
+    _check_field("k", k, "int", "[1, inf)")
+    _check_field("trials", trials, "int", "[1, inf)")
+    if target_epsilon is not None:
+        _check_field("target_epsilon", target_epsilon, "real", "[0, 1)")
     eps_values = []
     within = 0
     for t in range(trials):

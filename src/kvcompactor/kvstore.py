@@ -27,7 +27,6 @@ queries stacked row-wise) before writing the bundle.
 import contextlib
 import json
 import math
-import numbers
 import os
 import struct
 from dataclasses import dataclass, field
@@ -36,7 +35,7 @@ from typing import Any, Mapping, Optional, Union
 import numpy as np
 
 from ._pool import map_heads
-from .errors import DataError, FormatError, ParameterError, PlanMismatchError, TruncationError
+from .errors import DataError, FormatError, ParameterError, PlanMismatchError, TruncationError, _check_field
 
 _MAGIC = b"KVT1"
 _HEADER = struct.Struct("<4sIIIIB")
@@ -56,8 +55,7 @@ def retained_count(r: float, n: int) -> int:
     The tiny guard keeps decimal retentions from rounding float residue up
     (0.3 * 10000 must give 3000, not 3001).
     """
-    if not 0.0 < r <= 1.0:
-        raise ParameterError(f"retention rate must be in (0, 1], got {r}")
+    _check_field("retention rate", r, "real", "(0, 1]")
     return max(1, math.ceil(r * n - 1e-9))
 
 
@@ -70,8 +68,7 @@ def _rates(value, error):
     if per_layer and not value:
         raise error("retention list is empty")
     for r in value if per_layer else (value,):
-        if isinstance(r, bool) or not (isinstance(r, numbers.Real) and 0.0 < r <= 1.0):
-            raise error(f"retention rate {r!r} is not a number in (0, 1]")
+        _check_field("retention rate", r, "real", "(0, 1]", error)
     return tuple(map(float, value)) if per_layer else float(value)
 
 
@@ -403,7 +400,7 @@ def load_plan(path) -> RetentionPlan:
         )
     except KeyError as exc:
         raise FormatError(f"{path}: missing plan key {exc}") from exc
-    if version != PLAN_VERSION:
+    if type(version) is not int or version != PLAN_VERSION:  # JSON true and 1.0 equal 1 but are not version 1
         raise FormatError(f"{path}: unsupported plan version {version!r}")
     if not isinstance(layers, list) or not all(
         isinstance(layer, list) and all(isinstance(head, list) for head in layer) for layer in layers

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, _check_field, _check_matrix
 from .kvstore import ScoreVector, _finite
 from .sketch import SketchSpec, apply_sketch
 
@@ -47,8 +47,7 @@ class BasisMethod:
     def __post_init__(self):
         if self.kind not in BASIS_KINDS:
             raise ParameterError(f"unknown basis method {self.kind!r}")
-        if not 0.0 < self.sigma_clamp < 1.0:
-            raise ParameterError(f"sigma_clamp must be in (0, 1), got {self.sigma_clamp}")
+        _check_field("sigma_clamp", self.sigma_clamp, "real", "(0, 1)")
 
 
 @dataclass(frozen=True)
@@ -97,20 +96,10 @@ def row_basis(khat: np.ndarray, method: BasisMethod = BasisMethod()) -> np.ndarr
     near-zero (gram routes) or unnormalized (qr) columns rather than
     raising.
     """
-    khat = np.asarray(khat)
-    if khat.ndim != 2:
-        raise ParameterError("khat must be 2-D")
+    khat = _check_matrix("khat", khat)
     if not _finite(khat):
         raise DataError("khat contains non-finite values")
     return _basis_and_rank(khat, method)[0]
-
-
-def _matrix(K) -> np.ndarray:
-    """K as an array; ParameterError unless it is 2-D with at least one row and one column."""
-    K = np.asarray(K)
-    if K.ndim != 2 or min(K.shape) < 1:
-        raise ParameterError(f"K must be 2-D with at least one row and one column, got shape {K.shape}")
-    return K
 
 
 def approx_leverage(
@@ -123,7 +112,7 @@ def approx_leverage(
     scores; smaller k trades accuracy for speed, degrading with the
     condition number of K.
     """
-    K = _matrix(K)
+    K = _check_matrix("K", K)
     if not _finite(K):
         raise DataError("K contains non-finite values")
     khat = apply_sketch(K, sketch)
@@ -134,5 +123,5 @@ def approx_leverage(
 
 def exact_leverage(K: np.ndarray, method: BasisMethod = BasisMethod()) -> LeverageResult:
     """Exact leverage scores via the Gram identity (no sketching)."""
-    K = _matrix(K)
+    K = _check_matrix("K", K)
     return approx_leverage(K, SketchSpec(kind="none", target_dim=K.shape[1]), method)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, _check_field
+from .errors import ParameterError, _check_field, _check_matrix
 
 SKETCH_KINDS = ("gaussian", "srht", "none")
 
@@ -37,8 +37,8 @@ class SketchSpec:
     def __post_init__(self):
         if self.kind not in SKETCH_KINDS:
             raise ParameterError(f"unknown sketch kind {self.kind!r}")
-        _check_field("target_dim", self.target_dim, "int", 1)
-        _check_field("sketch seed", self.seed, "int", 0)
+        _check_field("target_dim", self.target_dim, "int", "[1, inf)")
+        _check_field("sketch seed", self.seed, "int", "[0, inf)")
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "k": self.target_dim, "seed": self.seed}
@@ -61,8 +61,7 @@ def gaussian_sketch(d: int, spec: SketchSpec) -> np.ndarray:
     """Seeded (d, k) matrix of i.i.d. Normal(0, 1/k) entries."""
     if spec.kind != "gaussian":
         raise ParameterError(f"expected a gaussian spec, got kind={spec.kind!r}")
-    if d < 1:
-        raise ParameterError(f"d must be >= 1, got {d}")
+    _check_field("d", d, "int", "[1, inf)")
     k = spec.target_dim
     if k > d:
         raise ParameterError(f"gaussian sketch needs k <= d, got k={k} d={d}")
@@ -117,10 +116,8 @@ def apply_sketch(K: np.ndarray, spec: SketchSpec) -> np.ndarray:
     Float32 K is multiplied by Phi rounded to float32, so the product is
     float32; any other K is multiplied by the float64 Phi.
     """
-    K = np.asarray(K)
+    K = _check_matrix("K", K)
     if spec.kind == "none":
         return K
-    if K.ndim != 2:
-        raise ParameterError("K must be 2-D")
     phi = _SKETCHES[spec.kind](K.shape[1], spec)
     return K @ (phi.astype(np.float32) if K.dtype == np.float32 else phi)

@@ -249,6 +249,23 @@ class TestTriplesCsv:
         with pytest.raises(FormatError):
             load_triples(path)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [("", 1), ("r,nll_c\n", 1), ("r,nll_c,y\n0.5,2.0\n", 2), ("r,nll_c,y\n0.5,2.0,0.8\n\n0.5,2.0,0.8,1\n", 4)],
+        ids=["empty", "short_header", "short_row", "long_row"],
+    )
+    def test_bad_layout_names_the_line(self, tmp_path, text, line):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=f"t.csv: line {line}: "):
+            load_triples(path)
+
+    def test_padding_and_blank_lines(self, tmp_path):
+        # the layouts a calib plan --queries file accepts, read by the same row reader
+        path = tmp_path / "t.csv"
+        path.write_text(" r , nll_c,y \r\n0.5,2.0,0.8\r\n\n  \n 0.25 ,1.0,0.5\n")
+        assert load_triples(path) == [CalibTriple(0.5, 2.0, 0.8), CalibTriple(0.25, 1.0, 0.5)]
+
     @pytest.mark.parametrize("data", [b"\xff\xfe", b"r,nll_c,y\n0.5,2.0,0.8\n\xff\n"], ids=["first_byte", "after_a_row"])
     def test_not_utf8_is_format_error(self, tmp_path, data):
         path = tmp_path / "t.csv"

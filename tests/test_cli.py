@@ -147,6 +147,16 @@ class TestPipeline:
         assert code == 2
         assert err.startswith("error:") and str(policy) in err
 
+    @pytest.mark.parametrize("key", ["kind", "sketch"])
+    def test_policy_missing_key_is_input_error(self, tmp_path, capsys, bundle_path, key):
+        policy = write_policy(tmp_path / "p.json")
+        doc = json.loads(policy.read_text())
+        del doc[key]
+        policy.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "evict", "--bundle", bundle_path, "--policy", policy, "--out", tmp_path / "x")
+        assert code == 2 and err.startswith(f"error: {policy}: missing policy key '{key}'")
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("data", [b'{"kind": "h2o",', b"[1, 2]", b"\xff"], ids=["bad_json", "list", "not_utf8"])
     def test_policy_not_json_object_is_format_error(self, tmp_path, capsys, bundle_path, data):
         policy = tmp_path / "p.json"
@@ -286,6 +296,14 @@ class TestCalibCli:
         code, _, _ = run(capsys, "calib", "plan", "--model", model_path)
         assert code == 2
 
+    def test_plan_queries_needs_out(self, tmp_path, capsys):
+        model_path = tmp_path / "m.json"
+        run(capsys, "calib", "fit", "--triples", self.make_triples(tmp_path / "t.csv"), "--out", model_path)
+        queries = tmp_path / "q.csv"
+        queries.write_text("nll_c\n0.5\n")
+        code, out, err = run(capsys, "calib", "plan", "--model", model_path, "--queries", queries)
+        assert code == 2 and out == "" and err == "error: --queries needs --out for the result CSV\n"
+
     @pytest.mark.parametrize("nll", ["nan", "inf", "-inf", "-0.5"])
     def test_plan_nll_outside_domain(self, tmp_path, capsys, nll):
         triples = self.make_triples(tmp_path / "t.csv")
@@ -401,6 +419,26 @@ class TestVerifyCli:
         out = tmp_path / "v.csv"
         code, _, err = run(capsys, "verify", *argv, "--trials", 2, "--out", out)
         assert code == 2 and err.startswith(f"error: {name} must be >= ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("thm1", "--k", 5, "--epsilon", 2), "epsilon"),
+            (("thm1", "--k", 5, "--epsilon", -1), "epsilon"),
+            (("thm1", "--k", 5, "--epsilon", "nan"), "epsilon"),
+            (("thm1", "--k", 5, "--delta", "nan"), "delta"),
+            (("thm1", "--c-values", "nan"), "c"),
+            (("thm2", "--k", 4, "--kappa", "nan"), "kappa"),
+            (("thm2", "--k", 4, "--target-epsilon", "nan"), "target_epsilon"),
+            (("thm2", "--k", 4, "--target-epsilon", -3), "target_epsilon"),
+        ],
+        ids=["eps_2", "eps_neg", "eps_nan", "delta_nan", "c_nan", "kappa_nan", "target_nan", "target_neg"],
+    )
+    def test_bad_real_is_input_error(self, tmp_path, capsys, argv, name):
+        out = tmp_path / "v.csv"
+        code, stdout, err = run(capsys, "verify", *argv, "--n", 50, "--d", 4, "--trials", 2, "--out", out)
+        assert code == 2 and stdout == "" and err.startswith(f"error: {name} must be ")
         assert not out.exists()
 
 

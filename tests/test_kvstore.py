@@ -91,6 +91,20 @@ class TestBundleFormat:
         with pytest.raises(FormatError):
             load_bundle(path)
 
+    @pytest.mark.parametrize(
+        "data, error, message",
+        [
+            (raw_file()[: HEADER.size - 1], TruncationError, "header truncated"),
+            (raw_file(flags=0b111), FormatError, "unknown flag bits 0x07"),
+        ],
+        ids=["cut_in_header", "unknown_flag"],
+    )
+    def test_bad_header_is_typed_error(self, tmp_path, data, error, message):
+        path = tmp_path / "b.kvt"
+        path.write_bytes(data)
+        with pytest.raises(error, match=f"b.kvt: {message}"):
+            load_bundle(path)
+
     def test_round_trip_bit_exact(self, tmp_path):
         b = make_bundle(np.random.default_rng(0), layers=2, heads=3, n=5, d=4)
         p1, p2 = tmp_path / "a.kvt", tmp_path / "b.kvt"
@@ -157,6 +171,11 @@ class TestBundleFormat:
         assert b.is_ragged
         with pytest.raises(FormatError):
             save_bundle(b, tmp_path / "b.kvt")
+
+    def test_ragged_bundle_has_no_seq_len(self):
+        mats = [[np.ones((3, 2), np.float32), np.ones((2, 2), np.float32)]]
+        with pytest.raises(ParameterError, match="^bundle is ragged; use seq_lens$"):
+            KVBundle(keys=mats, values=mats).seq_len
 
     def test_bundle_arrays_read_only(self):
         b = make_bundle(np.random.default_rng(2))
@@ -387,6 +406,11 @@ class TestRetentionPlan:
         with pytest.raises(DataError):
             RetentionPlan(retained=(((),),), retention_target=0.3, policy_name="x")
 
+    @pytest.mark.parametrize("retained", [(), ((),)], ids=["no_layers", "no_heads"])
+    def test_no_heads_rejected(self, retained):
+        with pytest.raises(DataError, match="at least one layer and one head"):
+            RetentionPlan(retained=retained, retention_target=0.3, policy_name="x")
+
     def test_bad_target_rejected(self):
         with pytest.raises(DataError):
             RetentionPlan(retained=(((0,),),), retention_target=1.5, policy_name="x")
@@ -496,6 +520,18 @@ class TestRetentionPlan:
         save_bundle(make_bundle(np.random.default_rng(9), heads=1), tmp_path / "b.kvt")
         code = main(["apply", "--bundle", str(tmp_path / "b.kvt"), "--plan", str(plan), "--out", str(tmp_path / "o.kvt")])
         assert code == 2 and key in capsys.readouterr().err
+        assert not (tmp_path / "o.kvt").exists()
+
+    @pytest.mark.parametrize("version", [True, 1.0, 2, "1"], ids=["bool", "float", "two", "string"])
+    def test_version_must_be_the_int_one(self, tmp_path, capsys, version):
+        doc = {"version": version, "retention_target": 0.5, "policy_name": "x", "seed": None, "layers": [[[0]]]}
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="plan.json: unsupported plan version"):
+            load_plan(plan)
+        save_bundle(make_bundle(np.random.default_rng(9), heads=1), tmp_path / "b.kvt")
+        code = main(["apply", "--bundle", str(tmp_path / "b.kvt"), "--plan", str(plan), "--out", str(tmp_path / "o.kvt")])
+        assert code == 2 and "unsupported plan version" in capsys.readouterr().err
         assert not (tmp_path / "o.kvt").exists()
 
     def test_integer_retention_target_from_json(self, tmp_path):
