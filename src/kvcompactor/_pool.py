@@ -4,8 +4,9 @@ numpy's elementwise kernels are single-threaded and each head's GEMMs are
 too small for a second BLAS thread to pay, so heads run side by side on a
 thread pool instead. While the pool runs, the loaded OpenBLAS is held to
 one thread, else its workers spin on the cores the pool needs; the old
-count is restored afterwards. Without OpenBLAS, with one usable core, or
-when asked to, the tasks run in order on the calling thread, BLAS untouched.
+count is restored afterwards. Without OpenBLAS or with one usable core the
+tasks run in order on the calling thread, BLAS untouched. Each worker holds
+one task's working set: for a causal head, at most a 4 MiB logits block.
 """
 
 import ctypes
@@ -45,16 +46,15 @@ def _openblas():
     return None
 
 
-def map_heads(fn, n_layers: int, n_heads: int, in_order: bool = False) -> list:
+def map_heads(fn, n_layers: int, n_heads: int) -> list:
     """[[fn(l, h) for h in range(n_heads)] for l in range(n_layers)], on min(usable cores, L*H) threads.
 
-    With ``in_order``, on the calling thread instead. The first task in (layer, head) order that raises
-    re-raises here, after the running tasks finish and the ones not yet started are cancelled.
+    The first task in (layer, head) order that raises re-raises here, once running tasks finish; the rest are cancelled.
     """
     heads = [(l, h) for l in range(n_layers) for h in range(n_heads)]
     try:
         workers = min(_cores(), len(heads))
-        blas = _openblas() if workers > 1 and not in_order else None
+        blas = _openblas() if workers > 1 else None
     except (AttributeError, OSError):  # no sched_getaffinity or no /proc: not Linux
         blas = None
     if blas is None:

@@ -20,10 +20,11 @@ one block in the scoring dtype, plus copies of Q and K only when they are
 not already C-contiguous in that dtype (a bundle's heads never are
 copied). A non-causal block is chunk_size x chunk_size. The causal
 baselines score query rows [s, e) against only the e keys those rows can
-see, in blocks of at most ``_LOGITS_BYTES`` (32 MiB) of logits, or one row
-when a row alone is larger, so that block does not grow with N. Every
-block of a head is computed into one buffer of the largest block's size,
-allocated once, so blocks of varying size leave no freed memory behind.
+see, in blocks of at most ``_LOGITS_BYTES`` (4 MiB) of logits, or one row
+when a row alone is larger, so that block does not grow with N; each pool
+worker scores one head at a time. Every block of a head is computed into
+one buffer of the largest block's size, allocated once, so blocks of
+varying size leave no freed memory behind.
 
 Mean pooling (centered moving average, edge-truncated) and value-norm
 scaling are separate steps so callers control the post-processing order;
@@ -39,7 +40,7 @@ import numpy as np
 from .errors import ParameterError, _check_field, _check_matrix
 from .kvstore import ScoreVector
 
-_LOGITS_BYTES = 32 << 20  # bytes of logits, in the input dtype, per causal row block
+_LOGITS_BYTES = 4 << 20  # bytes of logits, in the input dtype, per causal row block
 
 
 @dataclass(frozen=True)
@@ -111,12 +112,13 @@ def _causal_scores(Q, K, cfg: AttnScoreConfig, start: int) -> ScoreVector:
     out = np.zeros(n)
     # one buffer for every block: blocks grow with e, and freed blocks of new sizes would stay with the allocator
     buf = np.empty(min(rows, n - start) * n, Q.dtype)
+    # query s + i sees keys 0..s + i; the mask is at most a quarter of the budget (rows, m <= n, itemsize >= 4)
+    upper = np.triu(np.ones((min(rows, n - start),) * 2, bool), 1)
     for s in range(start, n, rows):
         e = min(s + rows, n)
         logits = np.matmul(Q[s:e], K[:e].T, out=buf[: (e - s) * e].reshape(e - s, e))
         logits *= scale
-        for i in range(e - s - 1):  # query s + i sees keys 0..s + i
-            logits[i, s + i + 1 :] = -np.inf
+        np.copyto(logits[:, s:], -np.inf, where=upper[: e - s, : e - s])
         _softmax_colsum(logits, out[:e])
     return ScoreVector(out, kind="baseline")
 
@@ -143,11 +145,9 @@ def noncausal_scores(Q: np.ndarray, K: np.ndarray, cfg: AttnScoreConfig = AttnSc
 def h2o_scores(Q: np.ndarray, K: np.ndarray, cfg: AttnScoreConfig = AttnScoreConfig()) -> ScoreVector:
     """Causal attention accumulated over all queries.
 
-    Query rows are scored in blocks against only the keys they can see; the
-    working memory is one logits block of at most 32 MiB in the scoring
-    dtype (at least one row) and O(N) float64 vectors, whatever N is, plus
-    copies of Q and K only when they are not already C-contiguous in that
-    dtype.
+    Query rows are scored in blocks against only the keys they can see: the
+    working memory is one logits block of at most 4 MiB in the scoring dtype
+    (at least one row) and O(N) float64 vectors, whatever N is.
     """
     Q, K = _check_pair(Q, K)
     return _causal_scores(Q, K, cfg, 0)

@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the two argument checks: one for a scalar, one for a matrix."""
 
-import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -52,7 +52,7 @@ def _check_field(name: str, value, kind: str, interval: str = None, error=Parame
     """Raise `error` unless `value` is of `kind` ("int", "real" or "bool") and lies in `interval`.
 
     A bool is neither an int nor a real here, a str is neither, and a real
-    must be finite; numpy scalars count as the Python number they hold.
+    must be finite as a float; numpy scalars count as the number they hold.
     `interval` is open or closed at each end, as in "(0, 1]" or "[1, inf)",
     and may hold a computed bound (f"[{d}, inf)"); None checks the kind
     alone. `error` is ParameterError for an argument and DataError for a
@@ -63,7 +63,7 @@ def _check_field(name: str, value, kind: str, interval: str = None, error=Parame
     elif kind == "int":
         ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     else:
-        ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+        ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
     if not ok:
         raise error(f"{name} must be {_KINDS[kind]}, got {value!r}")
     if interval is None:
@@ -72,7 +72,7 @@ def _check_field(name: str, value, kind: str, interval: str = None, error=Parame
     low, high, low_open = float(low_text), float(high_text), interval[0] == "("
     if (value > low if low_open else value >= low) and (value < high if interval[-1] == ")" else value <= high):
         return
-    if high == math.inf:
+    if high == float("inf"):
         raise error(f"{name} must be {'>' if low_open else '>='} {low_text}, got {value!r}")
     raise error(f"{name} must be in {interval}, got {value!r}")
 

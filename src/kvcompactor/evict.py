@@ -168,15 +168,13 @@ def _select(policy: EvictionPolicy, s: Optional[ScoreVector], n: int, r: float, 
     return select_topk(s, r)
 
 
-def _each_head(bundle: KVBundle, fn, policy: Optional[EvictionPolicy] = None) -> list:
+def _each_head(bundle: KVBundle, fn) -> list:
     """[[fn(bundle.head(l, h), l, h) for each head h] for each layer l], one pool task per (layer, head).
 
-    An h2o policy's heads run in order on the calling thread, BLAS untouched:
-    one h2o head's 32 MiB logits block is the whole process's scoring budget,
-    and its 1024-row GEMMs already keep every BLAS thread busy.
+    Every policy's heads share the pool: a worker scores one head at a time,
+    holding at most one 4 MiB causal logits block besides its O(N) vectors.
     """
-    h2o = policy is not None and policy.kind == "h2o"
-    return map_heads(lambda l, h: fn(bundle.head(l, h), l, h), bundle.n_layers, bundle.n_kv_heads, in_order=h2o)
+    return map_heads(lambda l, h: fn(bundle.head(l, h), l, h), bundle.n_layers, bundle.n_kv_heads)
 
 
 def _head_indices(policy: EvictionPolicy, ht: HeadTensors, layer: int, head: int, r: float):
@@ -190,15 +188,15 @@ def compress_bundle(bundle: KVBundle, policy: EvictionPolicy) -> RetentionPlan:
 
     A pure function of (bundle, policy), including all seeds, so the plan's
     ``metadata["policy"]`` alone reproduces it, on any number of threads:
-    heads are scored on one thread per usable core, except h2o's, which run
-    in order. A policy that needs queries or pre-rope keys the bundle lacks
-    raises DataError from its first head.
+    heads are scored on one thread per usable core, each holding one head's
+    working set (at most 4 MiB of causal logits). A policy that needs queries
+    or pre-rope keys the bundle lacks raises DataError from its first head.
     """
     n_layers = bundle.n_layers
     rs = policy.retention if isinstance(policy.retention, tuple) else (policy.retention,) * n_layers
     if len(rs) != n_layers:
         raise ParameterError(f"per-layer retention list has {len(rs)} entries for {n_layers} layers")
-    layers = _each_head(bundle, lambda ht, l, h: _head_indices(policy, ht, l, h, rs[l]).tolist(), policy)
+    layers = _each_head(bundle, lambda ht, l, h: _head_indices(policy, ht, l, h, rs[l]).tolist())
     return RetentionPlan(
         retained=layers,
         retention_target=policy.retention,

@@ -17,7 +17,7 @@ from dataclasses import replace
 from functools import partial
 
 from .. import calibrate
-from ..errors import CompactorError, FormatError, ParameterError
+from ..errors import CompactorError, FormatError, ParameterError, _check_field
 from ..evict import EvictionPolicy, _each_head, compress_bundle, head_scores
 from ..kvstore import _read_json, apply_plan, load_bundle, load_plan, save_bundle, save_plan
 from . import report
@@ -84,7 +84,7 @@ def _cmd_synth(args):
 def _cmd_score(args):
     bundle = load_bundle(args.bundle)
     policy = _load_policy(args.policy)
-    scores = _each_head(bundle, partial(head_scores, policy), policy)
+    scores = _each_head(bundle, partial(head_scores, policy))
     report.write_head_scores(args.out, scores)
     print(f"wrote {args.out}: {int(bundle.seq_lens.sum())} scores")
     return EXIT_OK
@@ -123,6 +123,7 @@ def _cmd_calib_fit(args):
 
 
 def _cmd_calib_plan(args):
+    _check_field("tau", args.tau, "real", "(0, 1]")  # before any row is read: no rows means no per-row check
     model = calibrate.load_model(args.model)
     if args.queries is not None:
         if args.out is None:

@@ -40,7 +40,7 @@ def sweep_policies(bundle: KVBundle, policies, r_list, needle_indices=None) -> l
         def scored(ht, l, h):
             return None if policy.kind == "random" else head_scores(policy, ht, l, h), ht.keys.shape[0], l, h
 
-        heads = [head for layer in _each_head(bundle, scored, policy) for head in layer]
+        heads = [head for layer in _each_head(bundle, scored) for head in layer]
         if policy.kind == "random":
             q10 = q50 = q90 = float("nan")
         else:

@@ -75,6 +75,7 @@ def verify_spectral(
     for name, value in (("N", N), ("d", d), ("k", k), ("trials", trials)):
         _check_field(name, value, "int", "[1, inf)")
     _check_sampling(epsilon, delta)
+    _check_field("seed", seed, "int", "[0, inf)")
     successes = 0
     worst = math.inf
     for t in range(trials):
@@ -135,6 +136,7 @@ def verify_thm2(
     """Per-trial tightest distortion of approximate vs exact leverage scores."""
     _check_field("k", k, "int", "[1, inf)")
     _check_field("trials", trials, "int", "[1, inf)")
+    _check_field("seed", seed, "int", "[0, inf)")
     if target_epsilon is not None:
         _check_field("target_epsilon", target_epsilon, "real", "[0, 1)")
     eps_values = []

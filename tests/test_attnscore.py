@@ -227,7 +227,7 @@ class TestFloat32:
         "fn, cfg", [(h2o_scores, AttnScoreConfig()), (snapkv_scores, AttnScoreConfig(baseline_window=2048))]
     )
     def test_causal_memory_bounded_by_logits_budget(self, fn, cfg):
-        # a float64 copy of one 32 MiB float32 block alone would take 64 MiB
+        # a float64 copy of a full float32 block would take twice the budget, more than the bound leaves
         Q, K = (x.astype(np.float32) for x in pair(np.random.default_rng(14), 8192, 16))
         assert traced_peak(fn, Q, K, cfg) < attnscore._LOGITS_BYTES + (4 << 20)
 

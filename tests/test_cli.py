@@ -185,6 +185,7 @@ class TestPipeline:
             ("evict", ("seed",), 0.5),
             ("evict", ("lambda",), True),
             ("evict", ("lambda",), float("nan")),
+            ("evict", ("lambda",), 10**400),
             ("calib", ("alpha",), "0.2"),
             ("calib", ("beta",), True),
             ("calib", ("n_points",), 9.5),
@@ -193,7 +194,7 @@ class TestPipeline:
         ids=[
             "float_sketch_k", "float_sketch_seed", "float_chunk_size", "float_baseline_window", "float_pool_window",
             "string_value_norm", "int_snap_keep_window", "string_scale", "string_retention", "bool_retention",
-            "string_layer_retention", "float_seed", "bool_lambda", "nan_lambda",
+            "string_layer_retention", "float_seed", "bool_lambda", "nan_lambda", "huge_int_lambda",
             "model_string_alpha", "model_bool_beta", "model_float_n_points", "model_not_object",
         ],
     )
@@ -358,6 +359,16 @@ class TestCalibCli:
         assert code == 2 and err.startswith("error:") and f"{bad}: not UTF-8" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["nll_c\n", "nll_c\n0.5\n"], ids=["header_only", "one_row"])
+    def test_plan_queries_tau_checked_before_rows(self, tmp_path, capsys, text):
+        model_path, queries, result = tmp_path / "m.json", tmp_path / "q.csv", tmp_path / "r.csv"
+        run(capsys, "calib", "fit", "--triples", self.make_triples(tmp_path / "t.csv"), "--out", model_path)
+        queries.write_text(text)
+        argv = ["calib", "plan", "--model", model_path, "--queries", queries, "--tau", 5, "--out", result]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: tau must be in (0, 1], got 5.0")
+        assert not result.exists()
+
     def test_plan_queries_accepted_layouts(self, tmp_path, capsys):
         # header matched on its first column, extra columns ignored, blank lines skipped, padding stripped
         triples = self.make_triples(tmp_path / "t.csv")
@@ -439,6 +450,14 @@ class TestVerifyCli:
         out = tmp_path / "v.csv"
         code, stdout, err = run(capsys, "verify", *argv, "--n", 50, "--d", 4, "--trials", 2, "--out", out)
         assert code == 2 and stdout == "" and err.startswith(f"error: {name} must be ")
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("argv", [("thm1", "--k", 5), ("thm2", "--k", 4)], ids=["thm1", "thm2"])
+    def test_negative_seed_is_input_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "v.csv"
+        code, stdout, err = run(capsys, "verify", *argv, "--n", 50, "--d", 4, "--trials", 2, "--seed", -1, "--out", out)
+        assert code == 2 and stdout == "" and err.startswith("error: seed must be >= 0, got -1")
         assert not out.exists()
 
 

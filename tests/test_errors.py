@@ -61,6 +61,7 @@ SCALARS = {
     "spectral.epsilon": ("epsilon", "real", "(0, 1)", ParameterError, lambda v: verify_spectral(8, 2, 4, 1, v)),
     "spectral.delta": ("delta", "real", "(0, 1)", ParameterError, lambda v: verify_spectral(8, 2, 4, 1, 0.5, v)),
     "spectral.k": ("k", "int", "[1, inf)", ParameterError, lambda v: verify_spectral(8, 2, v, 1, 0.5)),
+    "spectral.seed": ("seed", "int", "[0, inf)", ParameterError, lambda v: verify_spectral(8, 2, 4, 1, 0.5, seed=v)),
     "conditioned.kappa": (
         "kappa", "real", "[1, inf)", ParameterError, lambda v: conditioned_matrix(4, 2, v, np.random.default_rng(0))
     ),
@@ -69,6 +70,7 @@ SCALARS = {
     ),
     "thm2.k": ("k", "int", "[1, inf)", ParameterError, lambda v: verify_thm2(8, 2, v, 1, 2.0)),
     "thm2.trials": ("trials", "int", "[1, inf)", ParameterError, lambda v: verify_thm2(8, 2, 2, v, 2.0)),
+    "thm2.seed": ("seed", "int", "[0, inf)", ParameterError, lambda v: verify_thm2(8, 2, 2, 1, 2.0, seed=v)),
     "thm2.target_epsilon": (
         "target_epsilon", "real", "[0, 1)", ParameterError, lambda v: verify_thm2(8, 2, 2, 1, 2.0, target_epsilon=v)
     ),
@@ -93,7 +95,10 @@ SCALARS = {
 
 
 def _probes(kind, interval):
-    """(value, accepted) at each finite end of `interval` and one step beyond it, then values of no allowed kind."""
+    """(value, accepted) at each finite end of `interval` and one step beyond it, then values of no allowed kind.
+
+    A real is also probed with ints beyond float range, which are not finite as floats.
+    """
     probes = []
     if interval is not None:
         low, high = (float(end) for end in interval[1:-1].split(","))
@@ -102,12 +107,15 @@ def _probes(kind, interval):
             probes += [(cast(low), interval[0] == "["), (cast(low) - step, False)]
         if math.isfinite(high):
             probes += [(cast(high), interval[-1] == "]"), (cast(high) + step, False)]
+    if kind == "real":
+        probes += [(10**400, False), (-(10**400), False)]
     return probes + [(math.nan, False), (math.inf, False), (-math.inf, False), (True, False), ("1", False)]
 
 
 @pytest.mark.parametrize(
     "case, value, accepted",
     [(case, value, ok) for case, (_, kind, interval, *_) in SCALARS.items() for value, ok in _probes(kind, interval)],
+    ids=lambda v: ("-10**400" if v < 0 else "10**400") if isinstance(v, int) and abs(v) > 10**300 else None,
 )
 def test_scalar_argument_domain(case, value, accepted):
     name, _, _, error, call = SCALARS[case]

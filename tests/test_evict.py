@@ -2,6 +2,7 @@ import json
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -26,7 +27,7 @@ from kvcompactor import (
     select_topk,
     value_norm_scale,
 )
-from kvcompactor import _pool, evict
+from kvcompactor import _pool, attnscore, evict
 from kvcompactor.errors import DataError, ParameterError
 from kvcompactor.evict import _head_indices
 from kvcompactor.harness import SynthProfile, cli, planted_needles, sweep, sweep_policies, synth_bundle
@@ -341,18 +342,20 @@ class TestHeadPool:
 
     @needs_openblas
     @pytest.mark.parametrize("caller", ["compress_bundle", "sweep_policies", "kvc score"])
-    def test_h2o_heads_run_in_order_on_the_calling_thread(self, monkeypatch, tmp_path, pool_bundle, caller):
+    def test_h2o_heads_overlap_with_blas_at_one_thread(self, monkeypatch, tmp_path, pool_bundle, caller):
         monkeypatch.setattr(_pool, "_cores", lambda: 2)
         _, get_threads = _blas()
         before, seen = get_threads(), []
+        barrier = threading.Barrier(2, timeout=10)
         original = evict.head_scores
 
-        def recording(policy, *args):
-            seen.append((args[-2:], threading.get_ident(), get_threads()))
+        def overlapping(policy, *args):
+            barrier.wait()  # breaks unless two heads are scored at once
+            seen.append((args[-2:], get_threads()))
             return original(policy, *args)
 
         for module in (evict, sweep, cli):
-            monkeypatch.setattr(module, "head_scores", recording)
+            monkeypatch.setattr(module, "head_scores", overlapping)
         policy = EvictionPolicy(kind="h2o", retention=0.3)
         if caller == "compress_bundle":
             compress_bundle(pool_bundle, policy)
@@ -363,7 +366,20 @@ class TestHeadPool:
             (tmp_path / "p.json").write_text(json.dumps(policy.to_json_dict()))
             argv = ["score", "--bundle", tmp_path / "b.kvt", "--policy", tmp_path / "p.json", "--out", tmp_path / "s.csv"]
             assert cli.main([str(a) for a in argv]) == 0
-        assert seen == [((l, h), threading.get_ident(), before) for l in range(2) for h in range(3)]
+        assert sorted(seen) == [((l, h), 1) for l in range(2) for h in range(3)]
+        assert get_threads() == before
+
+    def test_h2o_memory_bounded_by_one_logits_block_per_worker(self, monkeypatch):
+        monkeypatch.setattr(_pool, "_cores", lambda: 2)
+        # float32 heads at N=8192: each head's causal blocks fill the logits budget
+        bundle = synth_bundle(SynthProfile(kind="gaussian_iid", N=8192, d=16, seed=3), n_layers=1, n_kv_heads=2)
+        tracemalloc.start()
+        try:
+            compress_bundle(bundle, EvictionPolicy(kind="h2o", retention=0.25))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * attnscore._LOGITS_BYTES + (4 << 20)
 
     @needs_openblas
     def test_blas_threads_restored(self, monkeypatch, pool_bundle):
@@ -418,14 +434,6 @@ class TestHeadPool:
 
         with pytest.raises(DataError, match=r"^head \(0, 2\)$"):
             _pool.map_heads(task, 2, 3)
-
-    @needs_openblas
-    def test_map_heads_in_order_runs_on_the_calling_thread(self, monkeypatch):
-        monkeypatch.setattr(_pool, "_cores", lambda: 2)
-        _, get_threads = _blas()
-        before, seen = get_threads(), []
-        _pool.map_heads(lambda l, h: seen.append(((l, h), threading.get_ident(), get_threads())), 2, 3, in_order=True)
-        assert seen == [((l, h), threading.get_ident(), before) for l in range(2) for h in range(3)]
 
 
 class TestPolicySerialization:

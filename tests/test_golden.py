@@ -5,8 +5,9 @@ compress_bundle -> save_plan -> load_plan -> apply_plan -> save_bundle, and
 the sha256 of its plan's indices and of its compacted file must equal the
 ones in golden_outputs.json; so must the sha256 of the CSV that the README's
 ``kvc sweep`` example writes, and of the KVT1 file of a synthesized bundle of
-each profile kind, at a shape of several row blocks. A change that moves
-outputs on purpose re-records that file in the same commit, and says why:
+each profile kind, at a shape of several row blocks, and the plan indices
+of the needle bundle under h2o. A change that moves outputs on purpose
+re-records that file in the same commit, and says why:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -112,6 +113,14 @@ def _synth_sha256(kind: str, tmp: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _h2o_plan_sha256() -> str:
+    """sha256 of the h2o plan indices of the pinned needle bundle; each head spans six causal row blocks at 4 MiB."""
+    bundle = synth_bundle(SynthProfile(kind="needle", **SYNTH_SHAPE, **SYNTH_FIELDS["needle"]), *SYNTH_HEADS)
+    plan = compress_bundle(bundle, EvictionPolicy(kind="h2o", retention=0.25))
+    heads = (np.asarray(idx, dtype="<i8").tobytes() for layer in plan.retained for idx in layer)
+    return hashlib.sha256(b"".join(heads)).hexdigest()
+
+
 def _kept(bitmap: str) -> np.ndarray:
     return np.unpackbits(np.frombuffer(bytes.fromhex(bitmap), dtype=np.uint8)).astype(bool)
 
@@ -173,6 +182,14 @@ def test_synth_matches_golden(kind, cores, tmp_path, monkeypatch):
     assert _synth_sha256(kind, tmp_path) == doc["synth_sha256"][kind], f"{kind}: synthesized bundle differs; {versions}"
 
 
+@pytest.mark.parametrize("cores", [1, 2])
+def test_h2o_plan_matches_golden(cores, monkeypatch):
+    monkeypatch.setattr(_pool, "_cores", lambda: cores)
+    doc = json.loads(GOLDEN.read_text())
+    versions = f"golden made with {doc['made_with']}, this run with {_made_with()}"
+    assert _h2o_plan_sha256() == doc["h2o_plan_sha256"], f"h2o plan of the pinned needle bundle differs; {versions}"
+
+
 @pytest.mark.parametrize("kind", SYNTH_KINDS)
 def test_kvc_synth_writes_the_pinned_file(kind, tmp_path):
     fields = {"rank": 0, "needle_count": 1, "noise_sigma": 0.0, **SYNTH_FIELDS[kind]}
@@ -199,6 +216,7 @@ if __name__ == "__main__":
             "workloads": {n: _outputs(n, Path(tmp))[0] for n in sorted(workloads.WORKLOADS)},
             "readme_sweep_sha256": _readme_sweep_sha256(Path(tmp)),
             "synth_sha256": {kind: _synth_sha256(kind, Path(tmp)) for kind in SYNTH_KINDS},
+            "h2o_plan_sha256": _h2o_plan_sha256(),
         }
     GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {GOLDEN}")
