@@ -27,14 +27,13 @@ of every fitted model; a model loaded from a file uses its own k_min.
 """
 
 import csv
-import json
 import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import ConvergenceError, DataError, DegenerateFitError, FormatError, ParameterError, _check_field
-from .kvstore import _read_json, _text_file
+from .errors import ConvergenceError, DataError, DegenerateFitError, FormatError, _check_field
+from .kvstore import _read_json, _text_file, _write_json
 
 _GRID_ALPHA = (-2.0, -1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0, 2.0)
 _GRID_BETA = (0.05, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
@@ -224,16 +223,9 @@ def _read_nlls(path) -> list:
 
 
 def save_model(model: CalibrationModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(model), fh, indent=1)
-        fh.write("\n")
+    _write_json(path, asdict(model), indent=1)
 
 
 def load_model(path) -> CalibrationModel:
-    doc = _read_json(path)
-    try:
-        return CalibrationModel(**{f.name: doc[f.name] for f in fields(CalibrationModel)})
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing model key {exc}") from exc
-    except ParameterError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    names = [f.name for f in fields(CalibrationModel)]
+    return _read_json(path, "model", lambda doc: CalibrationModel(**{name: doc[name] for name in names}))

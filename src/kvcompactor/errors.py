@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the two argument checks: one for a scalar, one for a matrix."""
 
+import math
 import numbers
-import sys
 
 import numpy as np
 
@@ -62,8 +62,11 @@ def _check_field(name: str, value, kind: str, interval: str = None, error=Parame
         ok = isinstance(value, bool)
     elif kind == "int":
         ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    else:  # finiteness is tested on the value as a float, never against a bound cast to a narrow numpy dtype
+        try:
+            ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+        except OverflowError:  # an int beyond float range
+            ok = False
     if not ok:
         raise error(f"{name} must be {_KINDS[kind]}, got {value!r}")
     if interval is None:

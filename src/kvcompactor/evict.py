@@ -56,7 +56,7 @@ class EvictionPolicy:
         return {
             "kind": self.kind,
             "lambda": self.lam,
-            "retention": self.retention,
+            "retention": list(self.retention) if isinstance(self.retention, tuple) else self.retention,
             "sketch": self.sketch.to_json_dict(),
             "attn": self.attn.to_json_dict(),
             "seed": self.seed,

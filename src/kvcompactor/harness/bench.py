@@ -12,15 +12,7 @@ import numpy as np
 
 from ..errors import ParameterError, _check_field
 from ..evict import EvictionPolicy, _head_indices, child_seed
-from ..kvstore import HeadTensors
-
-
-def _bench_inputs(n: int, d: int, seed: int):
-    rng = np.random.Generator(np.random.Philox(seed))
-    kpre = rng.standard_normal((n, d)).astype(np.float32)
-    q = rng.standard_normal((n, d)).astype(np.float32)
-    v = rng.standard_normal((n, d)).astype(np.float32)
-    return HeadTensors(keys=kpre, values=v, keys_prerope=kpre, queries=q)
+from .synth import SynthProfile, synth_bundle
 
 
 def bench_scaling(
@@ -34,7 +26,7 @@ def bench_scaling(
     """Median scoring+selection time per context length, plus the log-log slope.
 
     Returns ``{"rows": [...], "loglog_slope": float}`` with one row per
-    requested N.
+    requested N, each timed on one synthetic ``gaussian_iid`` (N, d) head.
     """
     n_list = list(n_list)
     if len(n_list) < 1 or any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -45,7 +37,7 @@ def bench_scaling(
 
     rows = []
     for n in n_list:
-        ht = _bench_inputs(n, d, child_seed(seed, n))
+        ht = synth_bundle(SynthProfile(kind="gaussian_iid", N=n, d=d, seed=child_seed(seed, n))).head(0, 0)
         times = []
         for _ in range(warmup + repeats):
             t0 = time.perf_counter()

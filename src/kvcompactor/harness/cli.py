@@ -17,7 +17,7 @@ from dataclasses import replace
 from functools import partial
 
 from .. import calibrate
-from ..errors import CompactorError, FormatError, ParameterError, _check_field
+from ..errors import CompactorError, _check_field
 from ..evict import EvictionPolicy, _each_head, compress_bundle, head_scores
 from ..kvstore import _read_json, apply_plan, load_bundle, load_plan, save_bundle, save_plan
 from . import report
@@ -53,13 +53,7 @@ def _floats(text: str):
 
 
 def _load_policy(path) -> EvictionPolicy:
-    doc = _read_json(path)
-    try:
-        return EvictionPolicy.from_json_dict(doc)
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing policy key {exc}") from exc
-    except (TypeError, ParameterError) as exc:
-        raise FormatError(f"{path}: malformed policy ({exc})") from exc
+    return _read_json(path, "policy", EvictionPolicy.from_json_dict)
 
 
 def _cmd_synth(args):

@@ -19,9 +19,10 @@ Retention plan file: one JSON document::
 
 Bundles carry both pre-position-embedding keys (scored by the leverage
 module) and the position-embedded keys the live cache would hold, so the
-library stays agnostic of any particular position-encoding scheme. For
-grouped-query models, build one query matrix per KV head (the grouped
-queries stacked row-wise) before writing the bundle.
+library stays agnostic of any particular position-encoding scheme. Each KV
+head carries one (N, d) query matrix, whose row i is the query at position
+i; a grouped-query model's several query heads per KV head do not fit a
+bundle yet.
 """
 
 import contextlib
@@ -29,8 +30,9 @@ import json
 import math
 import os
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Optional, Union
 
 import numpy as np
 
@@ -322,7 +324,7 @@ def _index_tuple(head, where: str) -> tuple:
 
 @dataclass(frozen=True)
 class RetentionPlan:
-    """Per-(layer, head) sorted token index sets to keep."""
+    """Per-(layer, head) sorted token index sets to keep; each field is checked as load_plan checks a file's."""
 
     retained: tuple
     retention_target: Union[float, tuple]
@@ -331,6 +333,17 @@ class RetentionPlan:
     metadata: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
+        nested = (list, tuple, np.ndarray)
+        if not isinstance(self.retained, nested) or not all(
+            isinstance(layer, nested) and all(isinstance(head, nested) for head in layer) for layer in self.retained
+        ):
+            raise ParameterError("layers must be a list of layers, each a list of per-head index lists")
+        if not isinstance(self.policy_name, str):
+            raise ParameterError(f"policy_name must be a string, got {self.policy_name!r}")
+        if self.seed is not None:
+            _check_field("seed", self.seed, "int")
+        if not isinstance(self.metadata, Mapping):
+            raise ParameterError(f"metadata must be a mapping (a JSON object), got {type(self.metadata).__name__}")
         layers = tuple(
             tuple(_index_tuple(head, f"layer {l} head {h}") for h, head in enumerate(layer))
             for l, layer in enumerate(self.retained)
@@ -354,6 +367,15 @@ class RetentionPlan:
         return len(self.retained[0])
 
 
+def _write_json(path, doc, indent=None) -> None:
+    """The one writer of plans and models: `doc` as UTF-8 JSON and a newline, numpy scalars as their numbers.
+
+    One json.dumps call runs the C encoder when there is no indent (tuples come out as lists); a stream would not.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=indent, default=np.generic.item) + "\n")
+
+
 def save_plan(plan: RetentionPlan, path) -> None:
     """Write a plan as a one-line JSON document; load_plan(save_plan(p)) == p."""
     doc = {
@@ -364,9 +386,7 @@ def save_plan(plan: RetentionPlan, path) -> None:
         "layers": plan.retained,
         "metadata": dict(plan.metadata),
     }
-    # one json.dumps call runs the C encoder (tuples come out as lists); indent or a stream would use the Python one
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc) + "\n")
+    _write_json(path, doc)
 
 
 @contextlib.contextmanager
@@ -379,8 +399,12 @@ def _text_file(path, newline=None):
             raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
-def _read_json(path) -> dict:
-    """The JSON object stored in a file; FormatError when the file is not valid JSON or holds no object."""
+def _read_json(path, what: str, build):
+    """build(doc) of the JSON object stored in a file: the one reader of plans, models and policies.
+
+    A file that is not UTF-8 JSON or holds no object, a missing key, or a FormatError, ParameterError or
+    TypeError from `build` is a FormatError naming the file; a DataError keeps its class and gains the path.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -388,38 +412,34 @@ def _read_json(path) -> dict:
             raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: expected a JSON object, got {type(doc).__name__}")
-    return doc
+    try:
+        return build(doc)
+    except KeyError as exc:
+        raise FormatError(f"{path}: missing {what} key {exc}") from exc
+    except TypeError as exc:  # a field of the wrong JSON type, met before any check of it
+        raise FormatError(f"{path}: malformed {what} ({exc})") from exc
+    except (FormatError, ParameterError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def load_plan(path) -> RetentionPlan:
     """Read and invariant-check a plan file."""
-    doc = _read_json(path)
-    try:
-        version, target, policy_name, seed, layers = (
-            doc[key] for key in ("version", "retention_target", "policy_name", "seed", "layers")
+
+    def build(doc):
+        version = doc["version"]
+        if type(version) is not int or version != PLAN_VERSION:  # JSON true and 1.0 equal 1 but are not version 1
+            raise FormatError(f"unsupported plan version {version!r}")
+        return RetentionPlan(
+            retained=doc["layers"],
+            retention_target=doc["retention_target"],
+            policy_name=doc["policy_name"],
+            seed=doc["seed"],
+            metadata=doc.get("metadata", {}),
         )
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing plan key {exc}") from exc
-    if type(version) is not int or version != PLAN_VERSION:  # JSON true and 1.0 equal 1 but are not version 1
-        raise FormatError(f"{path}: unsupported plan version {version!r}")
-    if not isinstance(layers, list) or not all(
-        isinstance(layer, list) and all(isinstance(head, list) for head in layer) for layer in layers
-    ):
-        raise FormatError(f"{path}: layers must be a list of layers, each a list of per-head index lists")
-    if not isinstance(policy_name, str):
-        raise FormatError(f"{path}: policy_name must be a string, got {policy_name!r}")
-    if seed is not None and type(seed) is not int:  # JSON gives int, float, bool, str, list, dict or None
-        raise FormatError(f"{path}: seed must be an integer or null, got {seed!r}")
-    metadata = doc.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise FormatError(f"{path}: plan metadata must be a JSON object")
-    return RetentionPlan(
-        retained=layers,
-        retention_target=target,
-        policy_name=policy_name,
-        seed=seed,
-        metadata=metadata,
-    )
+
+    return _read_json(path, "plan", build)
 
 
 def apply_plan(bundle: KVBundle, plan: RetentionPlan) -> KVBundle:

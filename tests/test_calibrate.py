@@ -281,6 +281,14 @@ class TestModelJson:
         save_model(model, path)
         assert load_model(path) == model
 
+    def test_numpy_fields_written_as_numbers(self, tmp_path):
+        model, plain = CalibrationModel(alpha=np.float32(1.0), beta=0.5), CalibrationModel(alpha=1.0, beta=0.5)
+        path, plain_path = tmp_path / "m.json", tmp_path / "plain.json"
+        save_model(model, path)
+        save_model(plain, plain_path)
+        assert load_model(path) == model
+        assert path.read_bytes() == plain_path.read_bytes()
+
     def test_exact_text(self, tmp_path):
         path = tmp_path / "m.json"
         save_model(CalibrationModel(alpha=0.21, beta=1.3, k_min=1e-3, fit_rmse=0.004, n_points=27), path)

@@ -473,6 +473,18 @@ class TestBenchSweepCli:
         assert [row["n"] for row in rows] == ["256", "512"]
         assert all(float(row["median_s"]) > 0 for row in rows)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [(("--ns", "0,64"), "N must be >= 1, got 0"), (("--d", 0), "d must be >= 1, got 0")],
+        ids=["ns", "d"],
+    )
+    def test_bench_bad_size_is_named(self, tmp_path, capsys, args, message):
+        policy = write_policy(tmp_path / "p.json", kind="leverage_only")
+        argv = ["bench", "--policy", policy, "--ns", "16,32", "--repeats", 1, "--warmup", 0, "--d", 8, *args]
+        code, _, err = run(capsys, *argv, "--out", tmp_path / "bench.csv")
+        assert code == 2 and err == f"error: {message}\n"
+        assert not (tmp_path / "bench.csv").exists()
+
     def test_retired_backend_mirror_ignored(self, tmp_path):
         # every flag is mirrored by KVC_<FLAG>; the mirror of the retired bench
         # flag "backend", left set to its old value "both", must stay inert

@@ -1,6 +1,7 @@
 """Every scalar argument is checked against its documented interval, and every matrix argument for its shape."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from kvcompactor import AttnScoreConfig, BasisMethod, CalibTriple, CalibrationMo
 from kvcompactor import ScoreVector, SketchSpec, apply_sketch, approx_leverage, blend_scores, calib_value
 from kvcompactor import exact_leverage, fit_calibration, gaussian_sketch, h2o_scores, invert_retention, mean_pool
 from kvcompactor import noncausal_scores, random_eviction, retained_count, row_basis, snapkv_scores, value_norm_scale
-from kvcompactor.errors import DataError, ParameterError
+from kvcompactor.errors import DataError, ParameterError, _check_field
 from kvcompactor.harness import SynthProfile, bench_scaling, conditioned_matrix, sample_size, synth_bundle
 from kvcompactor.harness import verify_spectral, verify_thm2
 
@@ -33,6 +34,7 @@ SCALARS = {
     "triple.r": ("r", "real", "(0, 1]", DataError, lambda v: CalibTriple(v, 1.0, 0.5)),
     "triple.nll_c": ("nll_c", "real", "[0, inf)", DataError, lambda v: CalibTriple(0.5, v, 0.5)),
     "triple.y": ("y", "real", "(0, inf)", DataError, lambda v: CalibTriple(0.5, 1.0, v)),
+    "model.alpha": ("alpha", "real", None, ParameterError, lambda v: CalibrationModel(v, 1.0)),
     "model.k_min": ("k_min", "real", "(0, inf)", ParameterError, lambda v: CalibrationModel(0.2, 1.0, k_min=v)),
     "calib_value.r": ("r", "real", "[0, 1]", ParameterError, lambda v: calib_value(v, 1.0, _MODEL)),
     "calib_value.nll_c": ("nll_c", "real", "[0, inf)", ParameterError, lambda v: calib_value(0.5, v, _MODEL)),
@@ -48,6 +50,7 @@ SCALARS = {
     ),
     "attn.chunk_size": ("chunk_size", "int", "[1, inf)", ParameterError, lambda v: AttnScoreConfig(chunk_size=v)),
     "attn.pool_window": ("pool_window", "int", "[1, inf)", ParameterError, lambda v: AttnScoreConfig(pool_window=v)),
+    "attn.scale": ("scale", "real", None, ParameterError, lambda v: AttnScoreConfig(scale=v)),
     "attn.baseline_window": (
         "baseline_window", "int", "[1, inf)", ParameterError, lambda v: AttnScoreConfig(baseline_window=v)
     ),
@@ -151,3 +154,26 @@ _FULL = np.ones((5, 3))
 def test_matrix_argument_shape(call, name, matrix):
     with pytest.raises(ParameterError, match=f"^{name} must be 2-D with at least one row and one column, got shape"):
         call(matrix)
+
+
+_NUMPY_NON_FINITE = [dtype(text) for dtype in (np.float16, np.float32, np.float64) for text in ("inf", "-inf", "nan")]
+
+
+@pytest.mark.parametrize("value", _NUMPY_NON_FINITE, ids=lambda v: f"{type(v).__name__}({v})")
+@pytest.mark.parametrize("case", [case for case, (_, kind, *_) in SCALARS.items() if kind == "real"])
+def test_numpy_non_finite_real_rejected(case, value):
+    # a narrow float's inf once passed as finite, or met the interval test first and was misreported
+    name, _, _, error, call = SCALARS[case]
+    with pytest.raises(error) as info:
+        call(value)
+    assert type(info.value) is error and str(info.value).startswith(f"{name} must be a finite real number"), info.value
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+def test_numpy_real_checked_without_warning(dtype):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _check_field("x", dtype(0.5), "real", "(0, 1]")
+        _check_field("x", dtype(-3.0), "real")
+        with pytest.raises(ParameterError, match="^x must be a finite real number"):
+            _check_field("x", -int("9" * 400), "real")

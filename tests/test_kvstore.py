@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvcompactor import _pool, kvstore
-from kvcompactor import EvictionPolicy, KVBundle, RetentionPlan, apply_plan, load_bundle, load_plan, retained_count
-from kvcompactor import save_bundle, save_plan
+from kvcompactor import AttnScoreConfig, EvictionPolicy, KVBundle, RetentionPlan, SketchSpec, apply_plan
+from kvcompactor import compress_bundle, load_bundle, load_plan, retained_count, save_bundle, save_plan
 from kvcompactor.errors import DataError, FormatError, ParameterError, PlanMismatchError, TruncationError
 from kvcompactor.harness import SynthProfile, synth_bundle
 from kvcompactor.harness.cli import main
@@ -162,6 +162,14 @@ class TestBundleFormat:
         mats = np.ones(shape, dtype=np.float32)
         with pytest.raises(ParameterError):
             KVBundle(keys=mats, values=mats)
+
+    def test_grouped_queries_stacked_row_wise_rejected(self):
+        # one (N, d) query matrix per KV head: a group's queries stacked into (2N, d) do not fit
+        rng = np.random.default_rng(16)
+        keys = rng.standard_normal((1, 1, 4, 3)).astype(np.float32)
+        queries = rng.standard_normal((1, 1, 8, 3)).astype(np.float32)
+        with pytest.raises(ParameterError, match=r"^queries\[0\]\[0\]: bad shape \(8, 3\)"):
+            KVBundle(keys=keys, values=keys, queries=queries)
 
     def test_ragged_bundle_not_saveable(self, tmp_path):
         b = KVBundle(
@@ -394,6 +402,53 @@ class TestRetentionPlan:
         save_plan(plan, path)
         assert load_plan(path) == plan
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("policy_name", 5), ("seed", "x"), ("seed", True), ("seed", 1.5), ("metadata", [1, 2])],
+        ids=["int_policy_name", "string_seed", "bool_seed", "float_seed", "list_metadata"],
+    )
+    def test_field_types_checked_at_construction(self, key, value):
+        # each of these once built a plan that save_plan or load_plan then refused
+        fields = {"retained": [[[0, 1]]], "retention_target": 0.5, "policy_name": "x", key: value}
+        with pytest.raises(ParameterError, match=f"^{key} must be"):
+            RetentionPlan(**fields)
+
+    @pytest.mark.parametrize(
+        "retained",
+        [[5], [[5]], [["01"]], [{"0": [1]}], 5],
+        ids=["int_layer", "int_head", "str_head", "dict_layer", "int"],
+    )
+    def test_nesting_checked_at_construction(self, retained):
+        with pytest.raises(ParameterError, match="^layers must be a list of layers, each a list of per-head index"):
+            RetentionPlan(retained=retained, retention_target=0.5, policy_name="x")
+
+    def test_index_sequence_kinds_accepted(self, tmp_path):
+        want = RetentionPlan(retained=(((0, 2), (1, 3)),), retention_target=0.5, policy_name="x")
+        path = tmp_path / "plan.json"
+        arrays = [(np.array([0, 2]), np.array([1, 3], np.int32))]
+        for retained in ([[[0, 2], [1, 3]]], arrays, np.array([[[0, 2], [1, 3]]])):
+            plan = RetentionPlan(retained=retained, retention_target=0.5, policy_name="x")
+            save_plan(plan, path)
+            assert plan == want and load_plan(path) == want
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"seed": np.int64(1)},
+            {"lam": np.float32(0.3)},
+            {"sketch": SketchSpec("gaussian", np.int64(4), 0)},
+            {"attn": AttnScoreConfig(chunk_size=np.int64(16))},
+            {"retention": (0.25, 0.5)},
+        ],
+        ids=["int64_seed", "float32_lambda", "int64_sketch_k", "int64_chunk_size", "per_layer_retention"],
+    )
+    def test_compressed_plan_round_trips(self, tmp_path, field):
+        policy = EvictionPolicy(**{"kind": "compactor", "retention": 0.5, **field})
+        plan = compress_bundle(make_bundle(np.random.default_rng(17), layers=2, heads=2, n=32, d=8), policy)
+        path = tmp_path / "plan.json"
+        save_plan(plan, path)
+        assert load_plan(path) == plan
+
     def test_duplicate_index_rejected(self):
         with pytest.raises(DataError):
             RetentionPlan(retained=(((0, 0, 5),),), retention_target=0.3, policy_name="x")
@@ -477,10 +532,14 @@ class TestRetentionPlan:
         with pytest.raises(DataError):
             RetentionPlan(retained=(((0, True),),), retention_target=0.5, policy_name="x")
 
-    @pytest.mark.parametrize("layers", ["[5]", "[[5]]"])
+    @pytest.mark.parametrize("layers", ["[5]", "[[5]]", '[["01"]]', '[{"0": [1]}]'])
     def test_layers_structure_is_format_error(self, tmp_path, layers):
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="plan.json: layers must be a list of layers"):
             load_plan(self.plan_file(tmp_path / "plan.json", layers))
+
+    def test_index_error_names_the_file(self, tmp_path):
+        with pytest.raises(DataError, match="plan.json: layer 0 head 0: indices must be strictly increasing"):
+            load_plan(self.plan_file(tmp_path / "plan.json", "[[[2, 1]]]"))
 
     def test_index_beyond_int64(self, tmp_path, capsys):
         plan = self.plan_file(tmp_path / "plan.json", f"[[[0, {2**70}]]]")
