@@ -6,7 +6,8 @@ thread pool instead. While the pool runs, the loaded OpenBLAS is held to
 one thread, else its workers spin on the cores the pool needs; the old
 count is restored afterwards. Without OpenBLAS or with one usable core the
 tasks run in order on the calling thread, BLAS untouched. Each worker holds
-one task's working set: for a causal head, at most a 4 MiB logits block.
+one task's working set: for a causal head, one logits block of at most
+attnscore._LOGITS_BYTES.
 """
 
 import ctypes

@@ -32,7 +32,7 @@ the bundled eviction pipeline pools first, then scales.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -70,13 +70,6 @@ class AttnScoreConfig:
         _check_field("value_norm", self.value_norm, "bool")
         _check_field("baseline_window", self.baseline_window, "int", "[1, inf)")
         _check_field("snap_keep_window", self.snap_keep_window, "bool")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "AttnScoreConfig":
-        return cls(**doc)
 
 
 def _check_pair(Q, K):
@@ -146,8 +139,8 @@ def h2o_scores(Q: np.ndarray, K: np.ndarray, cfg: AttnScoreConfig = AttnScoreCon
     """Causal attention accumulated over all queries.
 
     Query rows are scored in blocks against only the keys they can see: the
-    working memory is one logits block of at most 4 MiB in the scoring dtype
-    (at least one row) and O(N) float64 vectors, whatever N is.
+    working memory is one logits block of at most _LOGITS_BYTES in the
+    scoring dtype (at least one row) and O(N) float64 vectors, whatever N is.
     """
     Q, K = _check_pair(Q, K)
     return _causal_scores(Q, K, cfg, 0)

@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import ConvergenceError, DataError, DegenerateFitError, FormatError, _check_field
-from .kvstore import _read_json, _text_file, _write_json
+from .kvstore import _naming, _read_json, _write_json
 
 _GRID_ALPHA = (-2.0, -1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0, 2.0)
 _GRID_BETA = (0.05, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
@@ -186,24 +186,24 @@ def _csv_rows(path, header: tuple, make, exact: bool) -> list:
     number is a FormatError and a value `make` rejects a DataError, each naming its line.
     """
     out, width = [], len(header)
-    with _text_file(path, newline="") as fh:
+    with _naming(path), open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         names = [name.strip() for name in next(reader, [])]
         if (names if exact else names[:width]) != list(header):
-            raise FormatError(f"{path}: line 1: expected header {','.join(header)}, got {','.join(names)!r}")
+            raise FormatError(f"line 1: expected header {','.join(header)}, got {','.join(names)!r}")
         for lineno, row in enumerate(reader, start=2):
             if len(row) < 2 and not "".join(row).strip():
                 continue
             if exact and len(row) != width:
-                raise FormatError(f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
+                raise FormatError(f"line {lineno}: expected {width} fields, got {len(row)}")
             try:
                 values = [float(x) for x in row[:width]]
             except ValueError as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from exc
+                raise FormatError(f"line {lineno}: {exc}") from exc
             try:
                 out.append(make(*values))
             except DataError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from exc
+                raise DataError(f"line {lineno}: {exc}") from exc
     return out
 
 

@@ -13,7 +13,7 @@ smaller index. Scoring and selection run independently for every
 computed budget schedules.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -50,6 +50,10 @@ class EvictionPolicy:
             raise ParameterError(f"unknown policy kind {self.kind!r}")
         object.__setattr__(self, "retention", _rates(self.retention, ParameterError))
         _check_field("lambda", self.lam, "real", "[0, inf)")
+        if not isinstance(self.sketch, SketchSpec):
+            raise ParameterError(f"sketch must be a SketchSpec, got {type(self.sketch).__name__}")
+        if not isinstance(self.attn, AttnScoreConfig):
+            raise ParameterError(f"attn must be an AttnScoreConfig, got {type(self.attn).__name__}")
         _check_field("policy seed", self.seed, "int", "[0, inf)")
 
     def to_json_dict(self) -> dict:
@@ -57,21 +61,23 @@ class EvictionPolicy:
             "kind": self.kind,
             "lambda": self.lam,
             "retention": list(self.retention) if isinstance(self.retention, tuple) else self.retention,
-            "sketch": self.sketch.to_json_dict(),
-            "attn": self.attn.to_json_dict(),
+            "sketch": {"kind": self.sketch.kind, "k": self.sketch.target_dim, "seed": self.sketch.seed},
+            "attn": asdict(self.attn),
             "seed": self.seed,
         }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "EvictionPolicy":
-        return cls(
-            kind=doc["kind"],
-            retention=doc["retention"],
-            lam=doc["lambda"],
-            sketch=SketchSpec.from_json_dict(doc["sketch"]),
-            attn=AttnScoreConfig.from_json_dict(doc["attn"]),
-            seed=doc["seed"],
-        )
+        """The policy a policy file's object describes (to_json_dict writes it): this pair is the policy format.
+
+        An omitted ``attn`` key takes its default; another missing key is a KeyError naming its path ("sketch.seed")."""
+        kind, retention, lam, sketch = doc["kind"], doc["retention"], doc["lambda"], doc["sketch"]
+        try:
+            spec = SketchSpec(kind=sketch["kind"], target_dim=sketch["k"], seed=sketch["seed"])
+        except KeyError as exc:
+            raise KeyError(f"sketch.{exc.args[0]}") from exc
+        attn = AttnScoreConfig(**doc["attn"])
+        return cls(kind=kind, retention=retention, lam=lam, sketch=spec, attn=attn, seed=doc["seed"])
 
 
 def _zscore(v: np.ndarray) -> np.ndarray:
@@ -172,7 +178,7 @@ def _each_head(bundle: KVBundle, fn) -> list:
     """[[fn(bundle.head(l, h), l, h) for each head h] for each layer l], one pool task per (layer, head).
 
     Every policy's heads share the pool: a worker scores one head at a time,
-    holding at most one 4 MiB causal logits block besides its O(N) vectors.
+    holding at most one causal logits block of attnscore._LOGITS_BYTES besides its O(N) vectors.
     """
     return map_heads(lambda l, h: fn(bundle.head(l, h), l, h), bundle.n_layers, bundle.n_kv_heads)
 
@@ -189,7 +195,7 @@ def compress_bundle(bundle: KVBundle, policy: EvictionPolicy) -> RetentionPlan:
     A pure function of (bundle, policy), including all seeds, so the plan's
     ``metadata["policy"]`` alone reproduces it, on any number of threads:
     heads are scored on one thread per usable core, each holding one head's
-    working set (at most 4 MiB of causal logits). A policy that needs queries
+    working set (at most attnscore._LOGITS_BYTES of causal logits). A policy that needs queries
     or pre-rope keys the bundle lacks raises DataError from its first head.
     """
     n_layers = bundle.n_layers

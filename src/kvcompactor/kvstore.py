@@ -254,12 +254,25 @@ def save_bundle(bundle: KVBundle, path) -> None:
         fh.write(header)
 
 
-def _read_span(fd: int, payload: memoryview, start: int, size: int, path) -> None:
+@contextlib.contextmanager
+def _naming(path):
+    """Put `path` in front of every error raised inside: the one place where a reader's errors name its file."""
+    try:
+        yield
+    except (DataError, TruncationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+    except (FormatError, ParameterError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+def _read_span(fd: int, payload: memoryview, start: int, size: int) -> None:
     """Fill payload[start : start + size] from the file at fd; a 0-byte read before the end is a TruncationError."""
     while size:
         n = os.preadv(fd, [payload[start : start + size]], _HEADER.size + start)
         if n == 0:
-            raise TruncationError(f"{path}: payload ends at byte {start}, before the size its header declares")
+            raise TruncationError(f"payload ends at byte {start}, before the size its header declares")
         start, size = start + n, size - n
 
 
@@ -275,30 +288,27 @@ def load_bundle(path) -> KVBundle:
     is the one finiteness check. Not a memmap: later writes to the file must
     not reach a bundle that was already validated.
     """
-    with open(path, "rb") as fh:
+    with _naming(path), open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < 4 or header[:4] != _MAGIC:
-            raise FormatError(f"{path}: bad magic bytes")
+            raise FormatError("bad magic bytes")
         if len(header) < _HEADER.size:
-            raise TruncationError(f"{path}: header truncated")
+            raise TruncationError("header truncated")
         _, n_layers, n_heads, seq_len, head_dim, flags = _HEADER.unpack(header)
         if min(n_layers, n_heads, seq_len, head_dim) < 1:
-            raise FormatError(f"{path}: header declares a zero dimension")
+            raise FormatError("header declares a zero dimension")
         if flags & ~(_FLAG_QUERIES | _FLAG_PREROPE):
-            raise FormatError(f"{path}: unknown flag bits 0x{flags:02x}")
+            raise FormatError(f"unknown flag bits 0x{flags:02x}")
         names = [name for name, bit in _LAYOUT if not bit or flags & bit]
         head_bytes = len(names) * seq_len * head_dim * 4
         expected = n_layers * n_heads * head_bytes
         size = os.fstat(fh.fileno()).st_size - _HEADER.size
         if size != expected:
-            raise TruncationError(f"{path}: payload is {size} bytes, header declares {expected}")
+            raise TruncationError(f"payload is {size} bytes, header declares {expected}")
         data = np.empty((n_layers, n_heads, len(names), seq_len, head_dim), dtype="<f4")
         payload, fd = memoryview(data).cast("B"), fh.fileno()
-        map_heads(lambda l, h: _read_span(fd, payload, (l * n_heads + h) * head_bytes, head_bytes, path), n_layers, n_heads)
-    try:
+        map_heads(lambda l, h: _read_span(fd, payload, (l * n_heads + h) * head_bytes, head_bytes), n_layers, n_heads)
         return KVBundle(**{name: data[:, :, slot] for slot, name in enumerate(names)})
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
 
 
 def _index_tuple(head, where: str) -> tuple:
@@ -344,6 +354,10 @@ class RetentionPlan:
             _check_field("seed", self.seed, "int")
         if not isinstance(self.metadata, Mapping):
             raise ParameterError(f"metadata must be a mapping (a JSON object), got {type(self.metadata).__name__}")
+        try:  # stored as the JSON it saves as, so that a saved plan loads back equal
+            metadata = json.loads(_json_text(dict(self.metadata)))
+        except (TypeError, ValueError) as exc:  # a value with no JSON form, or a circular reference
+            raise ParameterError(f"metadata must be a JSON object of JSON values ({exc})") from exc
         layers = tuple(
             tuple(_index_tuple(head, f"layer {l} head {h}") for h, head in enumerate(layer))
             for l, layer in enumerate(self.retained)
@@ -357,6 +371,7 @@ class RetentionPlan:
             raise DataError(f"plan has {len(targets)} per-layer retention targets for {len(layers)} layers")
         object.__setattr__(self, "retention_target", targets)
         object.__setattr__(self, "retained", layers)
+        object.__setattr__(self, "metadata", metadata)
 
     @property
     def n_layers(self) -> int:
@@ -367,13 +382,18 @@ class RetentionPlan:
         return len(self.retained[0])
 
 
-def _write_json(path, doc, indent=None) -> None:
-    """The one writer of plans and models: `doc` as UTF-8 JSON and a newline, numpy scalars as their numbers.
+def _json_text(doc, indent=None) -> str:
+    """The one JSON encoder of plans, plan metadata and models: numpy scalars come out as their numbers.
 
     One json.dumps call runs the C encoder when there is no indent (tuples come out as lists); a stream would not.
     """
+    return json.dumps(doc, indent=indent, default=np.generic.item)
+
+
+def _write_json(path, doc, indent=None) -> None:
+    """The one writer of plans and models: _json_text(doc) as UTF-8 and a newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=indent, default=np.generic.item) + "\n")
+        fh.write(_json_text(doc, indent) + "\n")
 
 
 def save_plan(plan: RetentionPlan, path) -> None:
@@ -384,44 +404,29 @@ def save_plan(plan: RetentionPlan, path) -> None:
         "policy_name": plan.policy_name,
         "seed": plan.seed,
         "layers": plan.retained,
-        "metadata": dict(plan.metadata),
+        "metadata": plan.metadata,
     }
     _write_json(path, doc)
-
-
-@contextlib.contextmanager
-def _text_file(path, newline=None):
-    """open(path) as UTF-8 text; bytes that are not UTF-8 raise a FormatError naming the file, as _read_json's do."""
-    with open(path, "r", encoding="utf-8", newline=newline) as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def _read_json(path, what: str, build):
     """build(doc) of the JSON object stored in a file: the one reader of plans, models and policies.
 
-    A file that is not UTF-8 JSON or holds no object, a missing key, or a FormatError, ParameterError or
-    TypeError from `build` is a FormatError naming the file; a DataError keeps its class and gains the path.
+    A file that is not UTF-8 JSON or holds no object, a missing key, or a TypeError from `build` is a FormatError.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with _naming(path), open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
-            raise FormatError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: expected a JSON object, got {type(doc).__name__}")
-    try:
-        return build(doc)
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing {what} key {exc}") from exc
-    except TypeError as exc:  # a field of the wrong JSON type, met before any check of it
-        raise FormatError(f"{path}: malformed {what} ({exc})") from exc
-    except (FormatError, ParameterError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+            raise FormatError(f"not valid JSON ({exc})") from exc
+        if not isinstance(doc, dict):
+            raise FormatError(f"expected a JSON object, got {type(doc).__name__}")
+        try:
+            return build(doc)
+        except KeyError as exc:
+            raise FormatError(f"missing {what} key {exc}") from exc
+        except TypeError as exc:  # a field of the wrong JSON type, met before any check of it
+            raise FormatError(f"malformed {what} ({exc})") from exc
 
 
 def load_plan(path) -> RetentionPlan:

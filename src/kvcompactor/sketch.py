@@ -40,13 +40,6 @@ class SketchSpec:
         _check_field("target_dim", self.target_dim, "int", "[1, inf)")
         _check_field("sketch seed", self.seed, "int", "[0, inf)")
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "k": self.target_dim, "seed": self.seed}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "SketchSpec":
-        return cls(kind=doc["kind"], target_dim=doc["k"], seed=doc["seed"])
-
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))

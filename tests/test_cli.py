@@ -21,6 +21,12 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def read_rows(path) -> list:
+    """The rows of a CSV file as dicts, read with the file closed afterwards."""
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
+
+
 def write_policy(path, kind="leverage_only", retention=0.5, **overrides):
     doc = {
         "kind": kind,
@@ -80,7 +86,7 @@ class TestPipeline:
         out = tmp_path / "scores.csv"
         code, _, _ = run(capsys, "score", "--bundle", bundle_path, "--policy", policy, "--out", out)
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_rows(out)
         assert len(rows) == 120
         assert {row["layer"] for row in rows} == {"0"}
         float(rows[0]["score"])
@@ -98,7 +104,7 @@ class TestPipeline:
             for h in range(2)
             for i, v in enumerate(head_scores(policy, bundle.head(l, h), l, h).scores)
         ]
-        got = [(int(r["layer"]), int(r["head"]), int(r["index"]), float(r["score"])) for r in csv.DictReader(out.open())]
+        got = [(int(r["layer"]), int(r["head"]), int(r["index"]), float(r["score"])) for r in read_rows(out)]
         assert got == expected
 
     def test_score_csv_bytes_match_dict_writer(self, tmp_path, capsys):
@@ -147,11 +153,13 @@ class TestPipeline:
         assert code == 2
         assert err.startswith("error:") and str(policy) in err
 
-    @pytest.mark.parametrize("key", ["kind", "sketch"])
+    @pytest.mark.parametrize("key", ["kind", "sketch", "sketch.kind", "sketch.k", "sketch.seed"])
     def test_policy_missing_key_is_input_error(self, tmp_path, capsys, bundle_path, key):
+        # a nested key is named by its path, not by the top-level key of the same name
         policy = write_policy(tmp_path / "p.json")
         doc = json.loads(policy.read_text())
-        del doc[key]
+        section = doc["sketch"] if key.startswith("sketch.") else doc
+        del section[key.removeprefix("sketch.")]
         policy.write_text(json.dumps(doc))
         code, _, err = run(capsys, "evict", "--bundle", bundle_path, "--policy", policy, "--out", tmp_path / "x")
         assert code == 2 and err.startswith(f"error: {policy}: missing policy key '{key}'")
@@ -286,7 +294,7 @@ class TestCalibCli:
         out = tmp_path / "r.csv"
         code, _, _ = run(capsys, "calib", "plan", "--model", model_path, "--queries", queries, "--tau", 0.9, "--out", out)
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_rows(out)
         assert [row["nll_c"] for row in rows] == ["0.5", "2.0", "4.0"]
         assert all(0.0 < float(row["r_star"]) <= 1.0 for row in rows)
 
@@ -378,7 +386,7 @@ class TestCalibCli:
         queries.write_text(" nll_c,ctx\r\n0.5,a\r\n\n  \n 2.0 ,b,c\n4\n")
         code, _, _ = run(capsys, "calib", "plan", "--model", model_path, "--queries", queries, "--out", result)
         assert code == 0
-        rows = list(csv.DictReader(result.open()))
+        rows = read_rows(result)
         assert [float(row["nll_c"]) for row in rows] == [0.5, 2.0, 4.0]
 
     def test_fit_degenerate_is_input_error(self, tmp_path, capsys):
@@ -395,7 +403,7 @@ class TestVerifyCli:
             capsys, "verify", "thm1", "--n", 200, "--d", 8, "--trials", 5, "--c-values", "1,4", "--out", out
         )
         assert code == 3
-        rows = list(csv.DictReader(out.open()))
+        rows = read_rows(out)
         assert [row["c"] for row in rows] == ["1.0", "4.0"]
 
     def test_thm1_explicit_k_runs_once(self, tmp_path, capsys):
@@ -403,7 +411,7 @@ class TestVerifyCli:
         out = tmp_path / "thm1.csv"
         code, stdout, _ = run(capsys, "verify", "thm1", "--n", 200, "--d", 8, "--k", 40, "--trials", 3, "--out", out)
         assert code == 3
-        rows = list(csv.DictReader(out.open()))
+        rows = read_rows(out)
         assert [(row["c"], row["k"]) for row in rows] == [("", "40")]
         assert stdout.count("success_rate") == 1
 
@@ -413,7 +421,7 @@ class TestVerifyCli:
             capsys, "verify", "thm2", "--n", 128, "--d", 8, "--k", 8, "--trials", 3, "--kappa", 2.0, "--out", out
         )
         assert code == 3
-        assert len(list(csv.DictReader(out.open()))) == 3
+        assert len(read_rows(out)) == 3
 
     def test_reports_reproducible(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -469,7 +477,7 @@ class TestBenchSweepCli:
             capsys, "bench", "--policy", policy, "--ns", "256,512", "--repeats", 1, "--warmup", 0, "--d", 16, "--out", out
         )
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_rows(out)
         assert [row["n"] for row in rows] == ["256", "512"]
         assert all(float(row["median_s"]) > 0 for row in rows)
 
@@ -501,7 +509,7 @@ class TestBenchSweepCli:
             env=env, capture_output=True, text=True,
         )
         assert bench.returncode == 0, bench.stderr
-        assert [row["n"] for row in csv.DictReader(out.open())] == ["128"]
+        assert [row["n"] for row in read_rows(out)] == ["128"]
 
     def test_sweep_csv(self, tmp_path, capsys, bundle_path):
         p1 = write_policy(tmp_path / "p1.json", kind="compactor")
@@ -511,7 +519,7 @@ class TestBenchSweepCli:
             capsys, "sweep", "--bundle", bundle_path, "--policies", f"{p1},{p2}", "--rs", "0.1,1.0", "--out", out
         )
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_rows(out)
         assert len(rows) == 4
 
     def test_sweep_csv_reproducible(self, tmp_path, capsys, bundle_path):
@@ -547,11 +555,11 @@ class TestBenchSweepCli:
         monkeypatch.setenv("KVC_NEEDLES", ",".join(map(str, needles)))
         assert run(capsys, *argv, "--out", mirrored)[0] == 0
 
-        column = [row["needle_retained"] for row in csv.DictReader(flagged.open())]
+        column = [row["needle_retained"] for row in read_rows(flagged)]
         assert column == [str(row["needle_retained"]) for row in expected]
         assert set(column) == {"0", "1"}
         assert mirrored.read_bytes() == flagged.read_bytes()
-        assert {row["needle_retained"] for row in csv.DictReader(plain.open())} == {""}
+        assert {row["needle_retained"] for row in read_rows(plain)} == {""}
 
     def test_needle_count_mirror_leaves_sweep_needles_blank(self, tmp_path, capsys, monkeypatch):
         # synth's needle count and sweep's needle positions have separate mirrors
@@ -562,7 +570,7 @@ class TestBenchSweepCli:
         assert len(json.loads(out.split("planted needles at ", 1)[1].splitlines()[0])) == 3
         policy = write_policy(tmp_path / "p.json", kind="compactor")
         assert run(capsys, "sweep", "--bundle", path, "--policies", policy, "--rs", "0.5", "--out", sweep_csv)[0] == 0
-        assert {row["needle_retained"] for row in csv.DictReader(sweep_csv.open())} == {""}
+        assert {row["needle_retained"] for row in read_rows(sweep_csv)} == {""}
 
     def test_sweep_needle_out_of_range(self, tmp_path, capsys, bundle_path):
         policy = write_policy(tmp_path / "p.json", kind="random")

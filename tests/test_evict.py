@@ -460,6 +460,20 @@ class TestPolicySerialization:
         with pytest.raises(ParameterError):
             EvictionPolicy(kind="compactor", retention=0.5, lam=-0.1)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("sketch", {"kind": "gaussian", "k": 4, "seed": 0}), ("attn", None)],
+        ids=["dict_sketch", "none_attn"],
+    )
+    def test_nested_config_types_checked(self, name, value):
+        # each was once accepted, and compress_bundle then failed with an AttributeError
+        with pytest.raises(ParameterError, match=f"^{name} must be"):
+            EvictionPolicy(kind="compactor", retention=0.5, **{name: value})
+
+    def test_omitted_attn_keys_take_their_defaults(self):
+        doc = EvictionPolicy(kind="compactor", retention=0.5).to_json_dict()
+        assert EvictionPolicy.from_json_dict({**doc, "attn": {"chunk_size": 32}}).attn == AttnScoreConfig(chunk_size=32)
+
     def test_empty_per_layer_retention_rejected(self):
         with pytest.raises(ParameterError, match="empty"):
             EvictionPolicy(kind="compactor", retention=())

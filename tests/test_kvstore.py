@@ -392,6 +392,13 @@ class TestRetentionPlan:
         save_plan(plan, path)
         assert path.read_bytes() == (json.dumps(doc) + "\n").encode()
 
+    @pytest.mark.parametrize("metadata", [{"a": (1, 2)}, {1: "x"}], ids=["tuple_value", "int_key"])
+    def test_metadata_stored_as_the_json_it_saves_as(self, tmp_path, metadata):
+        plan = RetentionPlan(retained=[[[0, 1]]], retention_target=0.5, policy_name="x", metadata=metadata)
+        path = tmp_path / "plan.json"
+        save_plan(plan, path)
+        assert load_plan(path) == plan
+
     def test_per_layer_targets_round_trip(self, tmp_path):
         plan = RetentionPlan(
             retained=(((0,),), ((1, 2),)),
@@ -404,8 +411,16 @@ class TestRetentionPlan:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("policy_name", 5), ("seed", "x"), ("seed", True), ("seed", 1.5), ("metadata", [1, 2])],
-        ids=["int_policy_name", "string_seed", "bool_seed", "float_seed", "list_metadata"],
+        [
+            ("policy_name", 5),
+            ("seed", "x"),
+            ("seed", True),
+            ("seed", 1.5),
+            ("metadata", [1, 2]),
+            ("metadata", {"a": {1}}),
+            ("metadata", {"a": np.arange(2)}),
+        ],
+        ids=["int_policy_name", "string_seed", "bool_seed", "float_seed", "list_metadata", "set_value", "array_value"],
     )
     def test_field_types_checked_at_construction(self, key, value):
         # each of these once built a plan that save_plan or load_plan then refused
