@@ -23,15 +23,10 @@ from .attnscore import AttnScoreConfig, h2o_scores, mean_pool, noncausal_scores,
 from .errors import DataError, ParameterError, _check_field
 from .kvstore import HeadTensors, KVBundle, RetentionPlan, ScoreVector, _rates, retained_count
 from .leverage import approx_leverage
-from .sketch import SketchSpec, next_pow2
+from .sketch import SketchSpec, _rng, child_seed, next_pow2
 
 POLICY_KINDS = ("compactor", "snapkv", "h2o", "random", "leverage_only")
 _ZSCORE_EPS = 1e-8
-
-
-def child_seed(root: int, *key: int) -> int:
-    """Deterministic per-(layer, head) seed derived from a root seed."""
-    return int(np.random.SeedSequence([root, *key]).generate_state(1, np.uint64)[0])
 
 
 @dataclass(frozen=True)
@@ -96,10 +91,13 @@ def select_topk(s, r: float) -> np.ndarray:
     """Sorted indices of the max(1, ceil(r*N)) largest scores.
 
     Ties break toward the smaller index (stable sort on descending score).
+    A NaN score is a DataError; +inf is allowed, and ranks first.
     """
     v = np.asarray(getattr(s, "scores", s), dtype=np.float64)
     if v.ndim != 1 or v.size < 1:
         raise ParameterError("scores must be a non-empty 1-D vector")
+    if np.isnan(v.max()):  # max is NaN iff any score is: one read, no mask
+        raise DataError("scores contain NaN")
     k = retained_count(r, v.shape[0])
     top = np.argsort(-v, kind="stable")[:k]
     return np.sort(top)
@@ -109,8 +107,7 @@ def random_eviction(n: int, r: float, seed: int) -> np.ndarray:
     """Seeded uniform sample without replacement of max(1, ceil(r*n)) indices, sorted."""
     _check_field("n", n, "int", "[1, inf)")
     k = retained_count(r, n)
-    rng = np.random.Generator(np.random.Philox(seed))
-    return np.sort(rng.choice(n, size=k, replace=False))
+    return np.sort(_rng(seed).choice(n, size=k, replace=False))
 
 
 def _effective_sketch(spec: SketchSpec, d: int, layer: int, head: int) -> SketchSpec:

@@ -11,7 +11,8 @@ import time
 import numpy as np
 
 from ..errors import ParameterError, _check_field
-from ..evict import EvictionPolicy, _head_indices, child_seed
+from ..evict import EvictionPolicy, _head_indices
+from ..sketch import child_seed
 from .synth import SynthProfile, synth_bundle
 
 

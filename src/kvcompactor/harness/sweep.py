@@ -2,10 +2,15 @@
 
 import numpy as np
 
-from ..errors import ParameterError
+from ..errors import ParameterError, _check_field
 from ..evict import _each_head, _select, head_scores, select_topk
 from ..kvstore import KVBundle, _rates
 from ..leverage import exact_leverage
+
+
+def _needle_position(p) -> int:
+    _check_field("needle position", p, "int")
+    return int(p)
 
 
 def sweep_policies(bundle: KVBundle, policies, r_list, needle_indices=None) -> list:
@@ -23,7 +28,7 @@ def sweep_policies(bundle: KVBundle, policies, r_list, needle_indices=None) -> l
     if not policies:
         raise ParameterError("need at least one policy")
     r_list = _rates(list(r_list), ParameterError)
-    needles = None if needle_indices is None else set(np.asarray(needle_indices, dtype=np.int64).tolist())
+    needles = None if needle_indices is None else set(map(_needle_position, needle_indices))
     n_min = int(bundle.seq_lens.min())
     if needles and not 0 <= min(needles) <= max(needles) < n_min:
         raise ParameterError(f"needle positions must lie in [0, {n_min}), got {sorted(needles)}")

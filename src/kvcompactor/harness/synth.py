@@ -6,8 +6,8 @@ import numpy as np
 
 from .._pool import map_heads
 from ..errors import ParameterError, _check_field
-from ..evict import child_seed
 from ..kvstore import KVBundle
+from ..sketch import _rng, child_seed
 
 SYNTH_KINDS = ("gaussian_iid", "low_rank_plus_noise", "needle", "clustered")
 _N_CLUSTERS = 4
@@ -49,8 +49,7 @@ def planted_needles(profile: SynthProfile) -> np.ndarray:
     """Sorted positions of the planted needle rows (empty for other kinds)."""
     if profile.kind != "needle":
         return np.empty(0, dtype=np.int64)
-    rng = np.random.Generator(np.random.Philox(child_seed(profile.seed, 0xFEED)))
-    return np.sort(rng.choice(profile.N, size=profile.needle_count, replace=False))
+    return np.sort(_rng(child_seed(profile.seed, 0xFEED)).choice(profile.N, size=profile.needle_count, replace=False))
 
 
 def _blocks(n: int) -> list:
@@ -126,7 +125,7 @@ def _draw_keys(profile: SynthProfile, rng: np.random.Generator, out: np.ndarray,
 
 def _draw_head(profile: SynthProfile, seed: int, out: np.ndarray) -> None:
     """Draw one head's keys, values and queries into out[0], out[1] and out[2] from its own Philox stream."""
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = _rng(seed)
     blk, aux = np.empty((2, min(profile.N, _BLOCK + 1) * profile.d))
     _draw_keys(profile, rng, out[0], blk, aux)
     for mat in out[1:]:
@@ -140,11 +139,12 @@ def synth_bundle(profile: SynthProfile, n_layers: int = 1, n_kv_heads: int = 1) 
     keys are the same read-only arrays; queries and values are standard
     Gaussian. The bundle is one float32 (layers, heads, 3, N, d) payload,
     allocated on the calling thread. Each (layer, head) is drawn from its own
-    Philox stream, one thread per usable core, so the bytes do not depend on
-    the number of threads. Heads are drawn in blocks of 1024 rows through
-    float64 scratch and cast to float32 as each block is drawn; the memory
-    beyond the payload is, per thread, two 1025 x d float64 blocks and the
-    profile's own whole arrays: N x rank for low_rank_plus_noise and
+    stream, sketch._rng keyed by sketch.child_seed (sketch builds every random
+    stream in the package), one thread per usable core, so the bytes do not
+    depend on the number of threads. Heads are drawn in blocks of 1024 rows
+    through float64 scratch and cast to float32 as each block is drawn; the
+    memory beyond the payload is, per thread, two 1025 x d float64 blocks and
+    the profile's own whole arrays: N x rank for low_rank_plus_noise and
     (N - needle_count) x (d - needle_count) for needle.
     """
     _check_field("n_layers", n_layers, "int", "[1, inf)")

@@ -12,9 +12,8 @@ import math
 import numpy as np
 
 from ..errors import ParameterError, _check_field
-from ..evict import child_seed
 from ..leverage import approx_leverage, exact_leverage
-from ..sketch import SketchSpec
+from ..sketch import SketchSpec, _rng, child_seed
 
 _PSD_TOL = 1e-9
 
@@ -75,11 +74,10 @@ def verify_spectral(
     for name, value in (("N", N), ("d", d), ("k", k), ("trials", trials)):
         _check_field(name, value, "int", "[1, inf)")
     _check_sampling(epsilon, delta)
-    _check_field("seed", seed, "int", "[0, inf)")
     successes = 0
     worst = math.inf
     for t in range(trials):
-        rng = np.random.Generator(np.random.Philox(child_seed(seed, t)))
+        rng = _rng(child_seed(seed, t))
         K = rng.standard_normal((N, d))
         khat = leverage_sample(K, k, rng)
         lo, hi = sandwich_margins(K.T @ K, khat.T @ khat, epsilon)
@@ -136,13 +134,12 @@ def verify_thm2(
     """Per-trial tightest distortion of approximate vs exact leverage scores."""
     _check_field("k", k, "int", "[1, inf)")
     _check_field("trials", trials, "int", "[1, inf)")
-    _check_field("seed", seed, "int", "[0, inf)")
     if target_epsilon is not None:
         _check_field("target_epsilon", target_epsilon, "real", "[0, 1)")
     eps_values = []
     within = 0
     for t in range(trials):
-        rng = np.random.Generator(np.random.Philox(child_seed(seed, t)))
+        rng = _rng(child_seed(seed, t))
         K = conditioned_matrix(N, d, kappa, rng)
         ell = exact_leverage(K).scores.scores
         spec = SketchSpec(kind="gaussian", target_dim=k, seed=child_seed(seed, t, 1))

@@ -385,9 +385,10 @@ class RetentionPlan:
 def _json_text(doc, indent=None) -> str:
     """The one JSON encoder of plans, plan metadata and models: numpy scalars come out as their numbers.
 
+    Strict JSON: a NaN or infinity is a ValueError, not the bare token NaN or Infinity that strict parsers reject.
     One json.dumps call runs the C encoder when there is no indent (tuples come out as lists); a stream would not.
     """
-    return json.dumps(doc, indent=indent, default=np.generic.item)
+    return json.dumps(doc, indent=indent, default=np.generic.item, allow_nan=False)
 
 
 def _write_json(path, doc, indent=None) -> None:

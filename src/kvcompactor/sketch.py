@@ -11,9 +11,9 @@ The matrix is drawn in float64, and the GEMM runs in K's precision:
 float32 keys (every bundle's) are multiplied by the matrix rounded to
 float32 and give a float32 sketch; any other K gives a float64 sketch.
 
-All draws come from a counter-based generator (Philox), so equal
-(input, spec) pairs give bitwise-equal outputs regardless of thread
-scheduling.
+Every random stream in the package is built here: by _rng, a counter-based
+(Philox) generator, from a seed that child_seed keys. So equal (input, spec)
+pairs give bitwise-equal outputs regardless of thread scheduling.
 """
 
 import math
@@ -41,7 +41,14 @@ class SketchSpec:
         _check_field("sketch seed", self.seed, "int", "[0, inf)")
 
 
+def child_seed(root: int, *key: int) -> int:
+    """Deterministic seed of the stream keyed by `key` (a (layer, head), a trial) under a root seed."""
+    _check_field("seed", root, "int", "[0, inf)")
+    return int(np.random.SeedSequence([root, *key]).generate_state(1, np.uint64)[0])
+
+
 def _rng(seed: int) -> np.random.Generator:
+    _check_field("seed", seed, "int", "[0, inf)")
     return np.random.Generator(np.random.Philox(seed))
 
 

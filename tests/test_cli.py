@@ -493,6 +493,13 @@ class TestBenchSweepCli:
         assert code == 2 and err == f"error: {message}\n"
         assert not (tmp_path / "bench.csv").exists()
 
+    def test_bench_negative_seed_is_input_error(self, tmp_path, capsys):
+        policy = write_policy(tmp_path / "p.json", kind="leverage_only")
+        argv = ["bench", "--policy", policy, "--ns", "16,32", "--repeats", 1, "--warmup", 0, "--d", 8, "--seed", -1]
+        code, stdout, err = run(capsys, *argv, "--out", tmp_path / "bench.csv")
+        assert code == 2 and stdout == "" and err == "error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "bench.csv").exists()
+
     def test_retired_backend_mirror_ignored(self, tmp_path):
         # every flag is mirrored by KVC_<FLAG>; the mirror of the retired bench
         # flag "backend", left set to its old value "both", must stay inert

@@ -57,6 +57,7 @@ SCALARS = {
     "mean_pool.window": ("window", "int", "[1, inf)", ParameterError, lambda v: mean_pool(_SCORES, v)),
     "blend.lambda": ("lambda", "real", None, ParameterError, lambda v: blend_scores(_SCORES, _SCORES, v)),
     "random_eviction.n": ("n", "int", "[1, inf)", ParameterError, lambda v: random_eviction(v, 0.5, 0)),
+    "random_eviction.seed": ("seed", "int", "[0, inf)", ParameterError, lambda v: random_eviction(6, 0.5, v)),
     "sample_size.d": ("d", "int", "[1, inf)", ParameterError, lambda v: sample_size(v, 0.5, 0.1, 1.0)),
     "sample_size.epsilon": ("epsilon", "real", "(0, 1)", ParameterError, lambda v: sample_size(4, v, 0.1, 1.0)),
     "sample_size.delta": ("delta", "real", "(0, 1)", ParameterError, lambda v: sample_size(4, 0.5, v, 1.0)),
@@ -82,6 +83,9 @@ SCALARS = {
     ),
     "bench.warmup": (
         "warmup", "int", "[0, inf)", ParameterError, lambda v: bench_scaling(_POLICY, [8], repeats=1, warmup=v, d=4)
+    ),
+    "bench.seed": (
+        "seed", "int", "[0, inf)", ParameterError, lambda v: bench_scaling(_POLICY, [8], repeats=1, warmup=0, d=4, seed=v)
     ),
     "synth.N": ("N", "int", "[1, inf)", ParameterError, lambda v: SynthProfile("gaussian_iid", v, 4)),
     "synth.noise_sigma": (

@@ -81,6 +81,16 @@ class TestSelectTopK:
             with pytest.raises(ParameterError):
                 select_topk(np.ones(3), r)
 
+    @pytest.mark.parametrize("scores", [[1.0, np.nan, 3.0], [np.nan, np.nan], [np.inf, np.nan]], ids=["one", "all", "inf"])
+    def test_nan_score_rejected(self, scores):
+        # a raw array bypasses ScoreVector's finiteness check; NaN once ranked below every score
+        with pytest.raises(DataError, match="^scores contain NaN$"):
+            select_topk(np.array(scores), 0.5)
+
+    def test_inf_score_selected_first(self):
+        # _select marks snapkv's kept window with +inf
+        assert select_topk(np.array([5.0, np.inf, 9.0, 1.0, np.inf]), 0.4).tolist() == [1, 4]
+
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(0)
         for n in range(1, 9):

@@ -263,6 +263,19 @@ class TestSweep:
         with pytest.raises(ParameterError):
             sweep_policies(bundle, [EvictionPolicy(kind="random", retention=0.5)], [0.5, bad])
 
+    @pytest.mark.parametrize("bad", [1.7, True, "1", np.float64(1.0), None], ids=["float", "bool", "str", "np_float", "none"])
+    def test_non_integer_needle_position_is_parameter_error(self, needle_fixture, bad):
+        # 1.7 once truncated to position 1, and True counted as position 1
+        bundle, _ = needle_fixture
+        with pytest.raises(ParameterError, match="^needle position must be an integer, got "):
+            sweep_policies(bundle, [EvictionPolicy(kind="random", retention=0.5)], [0.5], needle_indices=[0, bad])
+
+    def test_needle_position_beyond_int64_is_parameter_error(self, needle_fixture):
+        # once an OverflowError, which `kvc sweep` does not report as an input error
+        bundle, _ = needle_fixture
+        with pytest.raises(ParameterError, match=r"^needle positions must lie in \[0, 200\)"):
+            sweep_policies(bundle, [EvictionPolicy(kind="random", retention=0.5)], [0.5], needle_indices=[2**70])
+
     def test_full_retention_rows(self, needle_fixture):
         bundle, needles = needle_fixture
         rows = sweep_policies(

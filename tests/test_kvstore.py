@@ -399,6 +399,14 @@ class TestRetentionPlan:
         save_plan(plan, path)
         assert load_plan(path) == plan
 
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), -float("inf"), np.float32("nan")], ids=["nan", "inf", "-inf", "f32_nan"]
+    )
+    def test_non_finite_metadata_rejected_at_construction(self, value):
+        # such a plan once saved as the bare token NaN or Infinity, which strict JSON parsers reject
+        with pytest.raises(ParameterError, match=r"^metadata must be a JSON object of JSON values \(Out of range"):
+            RetentionPlan(retained=[[[0, 1]]], retention_target=0.5, policy_name="x", metadata={"a": [1.0, value]})
+
     def test_per_layer_targets_round_trip(self, tmp_path):
         plan = RetentionPlan(
             retained=(((0,),), ((1, 2),)),
@@ -580,6 +588,13 @@ class TestRetentionPlan:
     def test_metadata_not_object(self, tmp_path, metadata):
         path = self.plan_file(tmp_path / "plan.json", '[[[0]]], "metadata": ' + metadata)
         with pytest.raises(FormatError, match="plan.json"):
+            load_plan(path)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_metadata_in_file_is_format_error(self, tmp_path, value):
+        # Python's reader accepts these tokens, but they are not JSON
+        path = self.plan_file(tmp_path / "plan.json", '[[[0]]], "metadata": {"a": ' + value + "}")
+        with pytest.raises(FormatError, match=r"plan.json: metadata must be a JSON object of JSON values \(Out of range"):
             load_plan(path)
 
     @pytest.mark.parametrize(
