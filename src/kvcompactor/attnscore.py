@@ -15,16 +15,20 @@ scale, the max-subtraction, exp and the row normalization run in float32;
 any other pair is scored in float64. Either way the softmax row sums and
 the per-token scores are accumulated in float64.
 
-Working memory per head is O(N) float64 score vectors and the logits of
-one block in the scoring dtype, plus copies of Q and K only when they are
+Working memory per head is O(N) float64 score vectors and one logits
+buffer in the scoring dtype, plus copies of Q and K only when they are
 not already C-contiguous in that dtype (a bundle's heads never are
-copied). A non-causal block is chunk_size x chunk_size. The causal
-baselines score query rows [s, e) against only the e keys those rows can
-see, in blocks of at most ``_LOGITS_BYTES`` (4 MiB) of logits, or one row
-when a row alone is larger, so that block does not grow with N; each pool
-worker scores one head at a time. Every block of a head is computed into
-one buffer of the largest block's size, allocated once, so blocks of
-varying size leave no freed memory behind.
+copied); each pool worker scores one head at a time. The full non-causal
+chunks are scored in batches of at most ``_CHUNK_BATCH_BYTES`` (2 MiB) of
+logits, or one chunk when a chunk alone is larger: each batch is one
+batched GEMM into one buffer allocated per call, and its reductions run
+along the same axes, in the same order, as one chunk's, so the scores are
+those of a chunk-by-chunk loop bit for bit. The short last chunk is scored
+on its own. The causal baselines score query rows [s, e) against only the
+e keys those rows can see, in blocks of at most ``_LOGITS_BYTES`` (4 MiB)
+of logits, or one row when a row alone is larger, so that block does not
+grow with N. Every causal block of a head is computed into one buffer of
+the largest block's size, mapped for the call and unmapped on return.
 
 Mean pooling (centered moving average, edge-truncated) and value-norm
 scaling are separate steps so callers control the post-processing order;
@@ -32,6 +36,7 @@ the bundled eviction pipeline pools first, then scales.
 """
 
 import math
+import mmap
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,6 +46,7 @@ from .errors import ParameterError, _check_field, _check_matrix
 from .kvstore import ScoreVector
 
 _LOGITS_BYTES = 4 << 20  # bytes of logits, in the input dtype, per causal row block
+_CHUNK_BATCH_BYTES = 2 << 20  # bytes of logits, in the input dtype, per batch of full non-causal chunks
 
 
 @dataclass(frozen=True)
@@ -88,13 +94,15 @@ def _scale(cfg: AttnScoreConfig, d: int) -> float:
 def _softmax_colsum(logits, out):
     """Accumulate the column sums of the row-softmax of ``logits`` into float64 ``out``; overwrites ``logits``.
 
+    ``logits`` is one (rows, cols) block, or a (batch, rows, cols) stack of
+    them scored independently; ``out`` has its shape without the rows axis.
     exp and the division run in the logits' dtype; the row and column sums
     are accumulated in float64 without a float64 copy of the block.
     """
-    logits -= logits.max(axis=1, keepdims=True)
+    logits -= logits.max(axis=-1, keepdims=True)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=1, keepdims=True, dtype=np.float64).astype(logits.dtype)
-    out += logits.sum(axis=0, dtype=np.float64)
+    logits /= logits.sum(axis=-1, keepdims=True, dtype=np.float64).astype(logits.dtype)
+    out += logits.sum(axis=-2, dtype=np.float64)
 
 
 def _causal_scores(Q, K, cfg: AttnScoreConfig, start: int) -> ScoreVector:
@@ -103,8 +111,10 @@ def _causal_scores(Q, K, cfg: AttnScoreConfig, start: int) -> ScoreVector:
     scale = _scale(cfg, Q.shape[1])
     rows = max(1, _LOGITS_BYTES // (Q.itemsize * max(n, 1)))  # n == 0 reaches ScoreVector's error
     out = np.zeros(n)
-    # one buffer for every block: blocks grow with e, and freed blocks of new sizes would stay with the allocator
-    buf = np.empty(min(rows, n - start) * n, Q.dtype)
+    # one buffer for every block, as blocks grow with e; mapped, not malloc'd, because a pool worker's malloc
+    # arena would keep a freed block of this size, and the mapping is released when the call returns
+    count = min(rows, n - start) * n
+    buf = np.frombuffer(mmap.mmap(-1, count * Q.itemsize), Q.dtype, count)
     # query s + i sees keys 0..s + i; the mask is at most a quarter of the budget (rows, m <= n, itemsize >= 4)
     upper = np.triu(np.ones((min(rows, n - start),) * 2, bool), 1)
     for s in range(start, n, rows):
@@ -124,14 +134,25 @@ def noncausal_scores(Q: np.ndarray, K: np.ndarray, cfg: AttnScoreConfig = AttnSc
     block's scores total its length.
     """
     Q, K = _check_pair(Q, K)
-    n = Q.shape[0]
-    scale = _scale(cfg, Q.shape[1])
+    (n, d), c = Q.shape, cfg.chunk_size
+    scale = _scale(cfg, d)
     out = np.zeros(n)
-    for s in range(0, n, cfg.chunk_size):
-        e = min(s + cfg.chunk_size, n)
-        logits = Q[s:e] @ K[s:e].T
+    full = n // c
+    per = max(1, _CHUNK_BATCH_BYTES // (Q.itemsize * c * c))  # full chunks per batch
+    # malloc'd, unlike the causal block: mapping it afresh for every small head costs more than batching saves
+    buf = np.empty(min(per, full) * c * c, Q.dtype)
+    for b in range(0, full, per):
+        m = min(per, full - b)
+        s, e = b * c, (b + m) * c
+        Kt = K[s:e].reshape(m, c, d).transpose(0, 2, 1)
+        logits = np.matmul(Q[s:e].reshape(m, c, d), Kt, out=buf[: m * c * c].reshape(m, c, c))
         logits *= scale
-        _softmax_colsum(logits, out[s:e])
+        _softmax_colsum(logits, out[s:e].reshape(m, c))
+    if full * c < n:
+        s = full * c
+        logits = Q[s:] @ K[s:].T
+        logits *= scale
+        _softmax_colsum(logits, out[s:])
     return ScoreVector(out, kind="attention")
 
 

@@ -46,6 +46,7 @@ _FLAG_PREROPE = 0x02
 # the per-head tensors in KVT1 payload order, with the flag bit that marks an
 # optional one present (0: always present); every tensor list walks this table
 _LAYOUT = (("keys_prerope", _FLAG_PREROPE), ("keys", 0), ("values", 0), ("queries", _FLAG_QUERIES))
+_SPAN_BYTES = 1 << 20  # most payload bytes load_bundle reads before it tests them for finiteness
 PLAN_VERSION = 1
 
 SCORE_KINDS = ("outlier", "attention", "blended", "baseline")
@@ -156,6 +157,22 @@ class KVBundle:
     queries: Optional[tuple] = None
 
     def __post_init__(self):
+        self._check(None)
+
+    @classmethod
+    def _from_read(cls, finite, **groups):
+        """The bundle of a reader's float32 `groups`, whose matrices it tested as it read them: finite[l][h][name].
+
+        The constructor's checks, without its second pass over the payload; load_bundle's path.
+        """
+        bundle = cls.__new__(cls)
+        for name, _ in _LAYOUT:
+            object.__setattr__(bundle, name, groups.get(name))
+        bundle._check(finite)
+        return bundle
+
+    def _check(self, finite):
+        """Normalize, check and store every group; `finite` None scans each matrix for finiteness on the pool."""
         tensors = {name: _as_nested(getattr(self, name), name) for name, _ in _present(self)}
         keys = tensors["keys"]
         if len(keys) < 1 or len(keys[0]) < 1:
@@ -167,17 +184,20 @@ class KVBundle:
 
         def scan(l, h):  # a matrix that two groups share is scanned once
             mats = {id(group[l][h]): group[l][h] for group in tensors.values()}
-            return {key: _finite(mat) for key, mat in mats.items()}
+            flags = {key: _finite(mat) for key, mat in mats.items()}
+            return {name: flags[id(group[l][h])] for name, group in tensors.items()}
 
-        # the scans run on the pool; the loop below reads them in order, so the first bad matrix is the one named
-        finite = map_heads(scan, n_layers, n_heads)
+        # the scans, like a reader's tests, run on the pool; the loop below reads them in order,
+        # so the first bad matrix is the one named
+        if finite is None:
+            finite = map_heads(scan, n_layers, n_heads)
         for name, group in tensors.items():
             for l, layer in enumerate(group):
                 for h, mat in enumerate(layer):
                     want = (keys[l][h].shape[0], d)
                     if mat.shape != want or min(want) < 1:
                         raise ParameterError(f"{name}[{l}][{h}]: bad shape {mat.shape} (keys give {want}; seq, dim >= 1)")
-                    if not finite[l][h][id(mat)]:
+                    if not finite[l][h][name]:
                         raise DataError(f"{name}[{l}][{h}]: bundle contains non-finite values")
         for name, _ in _LAYOUT:
             object.__setattr__(self, name, tensors.get(name))
@@ -276,17 +296,34 @@ def _read_span(fd: int, payload: memoryview, start: int, size: int) -> None:
         start, size = start + n, size - n
 
 
+def _read_checked(fd: int, payload: memoryview, start: int, size: int) -> bool:
+    """Fill payload[start : start + size] in spans of at most _SPAN_BYTES; True when every value read is finite.
+
+    Each span is tested straight after it is read, while it is still in cache.
+    """
+    finite = True
+    for at in range(start, start + size, _SPAN_BYTES):
+        n = min(_SPAN_BYTES, start + size - at)
+        _read_span(fd, payload, at, n)
+        finite &= _finite(np.frombuffer(payload[at : at + n], "<f4"))
+    return finite
+
+
 def load_bundle(path) -> KVBundle:
     """Read and fully validate a KVT1 bundle file (a regular file, not a pipe).
 
     The declared payload size is checked against the file before anything is
     allocated. The payload is read once into one owned float32 array,
     allocated on the calling thread, whose views are the bundle's matrices:
-    each (layer, head)'s contiguous span is read with ``os.preadv`` at its
-    own offset, one thread per usable core. A read that comes up short (the
-    file shrank meanwhile) is a TruncationError, and KVBundle's constructor
-    is the one finiteness check. Not a memmap: later writes to the file must
-    not reach a bundle that was already validated.
+    each (layer, head)'s matrices are read with ``os.preadv`` at their own
+    offsets, one task per head on one thread per usable core, in spans of at
+    most ``_SPAN_BYTES``. The task tests each span for finiteness as soon as
+    it is read, so every payload byte is tested once, and KVBundle takes
+    those flags instead of scanning the payload again: its shape checks and
+    its error for the first non-finite matrix in layout order are the
+    constructor's. A read that comes up short (the file shrank meanwhile)
+    is a TruncationError. Not a memmap: later writes to the file must not
+    reach a bundle that was already validated.
     """
     with _naming(path), open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
@@ -300,15 +337,21 @@ def load_bundle(path) -> KVBundle:
         if flags & ~(_FLAG_QUERIES | _FLAG_PREROPE):
             raise FormatError(f"unknown flag bits 0x{flags:02x}")
         names = [name for name, bit in _LAYOUT if not bit or flags & bit]
-        head_bytes = len(names) * seq_len * head_dim * 4
+        mat_bytes = seq_len * head_dim * 4
+        head_bytes = len(names) * mat_bytes
         expected = n_layers * n_heads * head_bytes
         size = os.fstat(fh.fileno()).st_size - _HEADER.size
         if size != expected:
             raise TruncationError(f"payload is {size} bytes, header declares {expected}")
         data = np.empty((n_layers, n_heads, len(names), seq_len, head_dim), dtype="<f4")
         payload, fd = memoryview(data).cast("B"), fh.fileno()
-        map_heads(lambda l, h: _read_span(fd, payload, (l * n_heads + h) * head_bytes, head_bytes), n_layers, n_heads)
-        return KVBundle(**{name: data[:, :, slot] for slot, name in enumerate(names)})
+
+        def read_head(l, h):  # {name: finite} of head (l, h)'s matrices, each read and tested span by span
+            start = (l * n_heads + h) * head_bytes
+            return {name: _read_checked(fd, payload, start + slot * mat_bytes, mat_bytes) for slot, name in enumerate(names)}
+
+        finite = map_heads(read_head, n_layers, n_heads)
+        return KVBundle._from_read(finite, **{name: data[:, :, slot] for slot, name in enumerate(names)})
 
 
 def _index_tuple(head, where: str) -> tuple:

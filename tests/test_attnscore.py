@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +43,23 @@ def pair(rng, n, d):
     return rng.standard_normal((n, d)), rng.standard_normal((n, d))
 
 
+def chunk_by_chunk(Q, K, cfg):
+    """noncausal_scores as one GEMM and one set of reductions per chunk: the reference for the batched chunks."""
+    Q, K = attnscore._check_pair(Q, K)
+    n = Q.shape[0]
+    scale = attnscore._scale(cfg, Q.shape[1])
+    out = np.zeros(n)
+    for s in range(0, n, cfg.chunk_size):
+        e = min(s + cfg.chunk_size, n)
+        logits = Q[s:e] @ K[s:e].T
+        logits *= scale
+        logits -= logits.max(axis=1, keepdims=True)
+        np.exp(logits, out=logits)
+        logits /= logits.sum(axis=1, keepdims=True, dtype=np.float64).astype(logits.dtype)
+        out[s:e] += logits.sum(axis=0, dtype=np.float64)
+    return out
+
+
 class TestNonCausal:
     def test_uniform_two_tokens(self):
         s = noncausal_scores(np.zeros((2, 1)), np.zeros((2, 1)), AttnScoreConfig(chunk_size=2, scale=1.0))
@@ -88,6 +103,19 @@ class TestNonCausal:
         assert np.array_equal(base[64:], bumped[64:])
         assert not np.allclose(base[32:64], bumped[32:64])
 
+    @pytest.mark.parametrize("split", [False, True], ids=["default_batch", "batch_of_2.5_chunks"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("chunk", [1, 3, 255, 256, 776, 777, 778])
+    def test_batched_chunks_match_chunk_by_chunk(self, monkeypatch, chunk, dtype, split):
+        # N = 777 makes an odd number of full chunks (777, 259, 3, 3, 1, 1 and 0), and a short last chunk for 255, 256 and 776
+        Q, K = (x.astype(dtype) for x in pair(np.random.default_rng(17), 777, 16))
+        if split:  # two full chunks per batch, so every split ends on a batch of one
+            monkeypatch.setattr(attnscore, "_CHUNK_BATCH_BYTES", int(2.5 * chunk * chunk * np.dtype(dtype).itemsize))
+        cfg = AttnScoreConfig(chunk_size=chunk)
+        assert np.array_equal(noncausal_scores(Q, K, cfg).scores, chunk_by_chunk(Q, K, cfg))
+        # Q as its own keys: numpy computes Q Q^T with a symmetric rank-k update instead of a general GEMM
+        assert np.array_equal(noncausal_scores(Q, Q, cfg).scores, chunk_by_chunk(Q, Q, cfg))
+
     def test_shape_mismatch(self):
         with pytest.raises(ParameterError):
             noncausal_scores(np.zeros((3, 2)), np.zeros((4, 2)))
@@ -128,15 +156,9 @@ class TestH2O:
             blocked = h2o_scores(Q, K, AttnScoreConfig(scale=0.5)).scores
             assert np.abs(blocked - oracle).max() < 1e-10
 
-    def test_memory_bounded_by_logits_budget(self):
+    def test_memory_bounded_by_logits_budget(self, peak_bytes):
         Q, K = pair(np.random.default_rng(8), 8192, 16)
-        tracemalloc.start()
-        try:
-            h2o_scores(Q, K)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < attnscore._LOGITS_BYTES + (4 << 20)
+        assert peak_bytes(h2o_scores, Q, K) < attnscore._LOGITS_BYTES + (4 << 20)
 
 
 class TestSnapKV:
@@ -174,16 +196,6 @@ def as_f32(*xs):
     """float32 copies, and the float64 arrays holding exactly the same values."""
     f32 = [x.astype(np.float32) for x in xs]
     return f32, [x.astype(np.float64) for x in f32]
-
-
-def traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
 
 
 class TestFloat32:
@@ -224,16 +236,23 @@ class TestFloat32:
             assert np.array_equal(fn(K, Q32, cfg).scores, fn(K, Q64, cfg).scores)
 
     @pytest.mark.parametrize(
-        "fn, cfg", [(h2o_scores, AttnScoreConfig()), (snapkv_scores, AttnScoreConfig(baseline_window=2048))]
+        "fn, cfg",
+        [
+            (h2o_scores, AttnScoreConfig()),
+            (snapkv_scores, AttnScoreConfig(baseline_window=2048)),
+            (noncausal_scores, AttnScoreConfig()),
+        ],
     )
-    def test_causal_memory_bounded_by_logits_budget(self, fn, cfg):
-        # a float64 copy of a full float32 block would take twice the budget, more than the bound leaves
+    def test_causal_memory_bounded_by_logits_budget(self, peak_bytes, fn, cfg):
+        # a float64 copy of a full float32 block would take twice the budget, more than the bound leaves;
+        # the non-causal batch has its own budget
+        budget = attnscore._CHUNK_BATCH_BYTES if fn is noncausal_scores else attnscore._LOGITS_BYTES
         Q, K = (x.astype(np.float32) for x in pair(np.random.default_rng(14), 8192, 16))
-        assert traced_peak(fn, Q, K, cfg) < attnscore._LOGITS_BYTES + (4 << 20)
+        assert peak_bytes(fn, Q, K, cfg) < budget + (4 << 20)
 
-    def test_noncausal_copies_neither_input(self):
+    def test_noncausal_copies_neither_input(self, peak_bytes):
         Q, K = (x.astype(np.float32) for x in pair(np.random.default_rng(15), 8192, 128))
-        assert traced_peak(noncausal_scores, Q, K) < Q.nbytes
+        assert peak_bytes(noncausal_scores, Q, K) < Q.nbytes
 
 
 class TestMeanPool:

@@ -2,7 +2,6 @@ import json
 import sys
 import threading
 import time
-import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -379,16 +378,11 @@ class TestHeadPool:
         assert sorted(seen) == [((l, h), 1) for l in range(2) for h in range(3)]
         assert get_threads() == before
 
-    def test_h2o_memory_bounded_by_one_logits_block_per_worker(self, monkeypatch):
+    def test_h2o_memory_bounded_by_one_logits_block_per_worker(self, monkeypatch, peak_bytes):
         monkeypatch.setattr(_pool, "_cores", lambda: 2)
         # float32 heads at N=8192: each head's causal blocks fill the logits budget
         bundle = synth_bundle(SynthProfile(kind="gaussian_iid", N=8192, d=16, seed=3), n_layers=1, n_kv_heads=2)
-        tracemalloc.start()
-        try:
-            compress_bundle(bundle, EvictionPolicy(kind="h2o", retention=0.25))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(compress_bundle, bundle, EvictionPolicy(kind="h2o", retention=0.25))
         assert peak < 2 * attnscore._LOGITS_BYTES + (4 << 20)
 
     @needs_openblas

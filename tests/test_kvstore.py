@@ -2,6 +2,7 @@ import builtins
 import errno
 import json
 import os
+import re
 import stat
 import struct
 
@@ -196,14 +197,42 @@ class TestBundleFormat:
             KVBundle(keys=bad, values=bad)
 
     @pytest.mark.parametrize("cores", [1, 2])
-    def test_first_nonfinite_matrix_in_layout_order_named(self, monkeypatch, cores):
+    @pytest.mark.parametrize("source", ["constructed", "loaded"])
+    def test_first_nonfinite_matrix_in_layout_order_named(self, monkeypatch, tmp_path, source, cores):
         monkeypatch.setattr(_pool, "_cores", lambda: cores)
         rng = np.random.default_rng(8)
         tensors = {name: rng.standard_normal((2, 2, 4, 3)).astype(np.float32) for name in ("keys_prerope", "keys", "values", "queries")}
         tensors["queries"][0, 0, 1, 2] = np.nan
         tensors["keys_prerope"][1, 1, 0, 0] = np.inf
-        with pytest.raises(DataError, match=r"^keys_prerope\[1\]\[1\]: bundle contains non-finite values$"):
-            KVBundle(**tensors)
+        path = tmp_path / "b.kvt"
+        path.write_bytes(raw_file(layers=2, n=4, d=3, payload=np.stack(list(tensors.values()), axis=2)))
+        prefix = re.escape(f"{path}: ") if source == "loaded" else ""
+        with pytest.raises(DataError, match=rf"^{prefix}keys_prerope\[1\]\[1\]: bundle contains non-finite values$"):
+            KVBundle(**tensors) if source == "constructed" else load_bundle(path)
+
+    @pytest.mark.parametrize("span", [16, 20, 1 << 20])
+    def test_nonfinite_value_in_last_span_named(self, monkeypatch, tmp_path, span):
+        # 48-byte matrices: three spans of 16 bytes, spans of 20, 20 and 8, or one span
+        monkeypatch.setattr(kvstore, "_SPAN_BYTES", span)
+        payload = np.arange(2 * 2 * 4 * 6 * 2, dtype=np.float32).reshape(2, 2, 4, 6, 2)
+        payload[1, 0, 2, 5, 1] = np.nan
+        path = tmp_path / "b.kvt"
+        path.write_bytes(raw_file(layers=2, n=6, d=2, payload=payload))
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: values\[1\]\[0\]: bundle contains non-finite values$"):
+            load_bundle(path)
+
+    def test_loaded_spans_cover_the_payload_once(self, monkeypatch, tmp_path):
+        # 48-byte matrices in spans of 20, 20 and 8 bytes: 5, 5 and 2 floats, each tested once
+        monkeypatch.setattr(kvstore, "_SPAN_BYTES", 20)
+        scans, real = [], kvstore._finite
+        monkeypatch.setattr(kvstore, "_finite", lambda mat: scans.append(mat.size) or real(mat))
+        b = make_bundle(np.random.default_rng(9), layers=2, heads=3, n=6, d=2)
+        save_bundle(b, tmp_path / "b.kvt")
+        scans.clear()
+        loaded = load_bundle(tmp_path / "b.kvt")
+        assert sorted(scans) == [2] * 24 + [5] * 48
+        for name in ("keys_prerope", "keys", "values", "queries"):
+            assert all(np.array_equal(getattr(loaded, name)[l][h], getattr(b, name)[l][h]) for l in range(2) for h in range(3))
 
     def test_structure_checked_before_finiteness(self):
         # every group's layer and head counts are checked before any matrix is scanned
