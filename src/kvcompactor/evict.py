@@ -98,9 +98,12 @@ def select_topk(s, r: float) -> np.ndarray:
         raise ParameterError("scores must be a non-empty 1-D vector")
     if np.isnan(v.max()):  # max is NaN iff any score is: one read, no mask
         raise DataError("scores contain NaN")
-    k = retained_count(r, v.shape[0])
-    top = np.argsort(-v, kind="stable")[:k]
-    return np.sort(top)
+    n, k = v.shape[0], retained_count(r, v.shape[0])
+    # the k-th largest score t, found in linear time; every score above t is kept, then the first ties at t
+    t = np.partition(v, n - k)[n - k]
+    keep = v > t
+    keep[np.flatnonzero(v == t)[: k - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
 
 
 def random_eviction(n: int, r: float, seed: int) -> np.ndarray:
@@ -201,7 +204,7 @@ def compress_bundle(bundle: KVBundle, policy: EvictionPolicy) -> RetentionPlan:
     rs = policy.retention if isinstance(policy.retention, tuple) else (policy.retention,) * n_layers
     if len(rs) != n_layers:
         raise ParameterError(f"per-layer retention list has {len(rs)} entries for {n_layers} layers")
-    layers = _each_head(bundle, lambda ht, l, h: _head_indices(policy, ht, l, h, rs[l]).tolist())
+    layers = _each_head(bundle, lambda ht, l, h: _head_indices(policy, ht, l, h, rs[l]))
     return RetentionPlan(
         retained=layers,
         retention_target=policy.retention,

@@ -23,6 +23,11 @@ library stays agnostic of any particular position-encoding scheme. Each KV
 head carries one (N, d) query matrix, whose row i is the query at position
 i; a grouped-query model's several query heads per KV head do not fit a
 bundle yet.
+
+Each tensor value is tested for finiteness once: as load_bundle reads it,
+or when a KVBundle is built in memory. apply_plan's output inherits its
+input's test, as its rows are copies of tested rows, and is not scanned
+again.
 """
 
 import contextlib
@@ -160,10 +165,11 @@ class KVBundle:
         self._check(None)
 
     @classmethod
-    def _from_read(cls, finite, **groups):
-        """The bundle of a reader's float32 `groups`, whose matrices it tested as it read them: finite[l][h][name].
+    def _from_tested(cls, finite, **groups):
+        """The bundle of float32 `groups` whose matrices were already tested for finiteness: finite[l][h][name].
 
-        The constructor's checks, without its second pass over the payload; load_bundle's path.
+        The constructor's checks, without a second pass over the payload: load_bundle's path, which tests each
+        span as it reads it, and apply_plan's, whose rows are copies of rows its input bundle tested.
         """
         bundle = cls.__new__(cls)
         for name, _ in _LAYOUT:
@@ -351,21 +357,27 @@ def load_bundle(path) -> KVBundle:
             return {name: _read_checked(fd, payload, start + slot * mat_bytes, mat_bytes) for slot, name in enumerate(names)}
 
         finite = map_heads(read_head, n_layers, n_heads)
-        return KVBundle._from_read(finite, **{name: data[:, :, slot] for slot, name in enumerate(names)})
+        return KVBundle._from_tested(finite, **{name: data[:, :, slot] for slot, name in enumerate(names)})
 
 
 def _index_tuple(head, where: str) -> tuple:
-    """One plan head's indices as a tuple of ints, checked in one vectorized pass."""
-    kinds = set(map(type, head))
-    if not kinds:
+    """One plan head's indices as a tuple of ints, checked in one vectorized pass.
+
+    A 1-D int64 array (compress_bundle's heads) needs no per-element type pass; any other input has one.
+    """
+    if isinstance(head, np.ndarray) and head.dtype == np.int64 and head.ndim == 1:
+        idx = head
+    else:
+        kinds = set(map(type, head))
+        bad = sorted(t.__name__ for t in kinds if issubclass(t, (bool, np.bool_)) or not issubclass(t, (int, np.integer)))
+        if bad:
+            raise DataError(f"{where}: retained indices must be integers, got {', '.join(bad)}")
+        try:
+            idx = np.asarray(head, dtype=np.int64)
+        except OverflowError as exc:
+            raise DataError(f"{where}: retained index beyond int64 ({exc})") from exc
+    if not idx.size:
         raise DataError(f"{where}: empty retained list (at least 1 token is kept per head)")
-    bad = sorted(t.__name__ for t in kinds if issubclass(t, (bool, np.bool_)) or not issubclass(t, (int, np.integer)))
-    if bad:
-        raise DataError(f"{where}: retained indices must be integers, got {', '.join(bad)}")
-    try:
-        idx = np.asarray(head, dtype=np.int64)
-    except OverflowError as exc:
-        raise DataError(f"{where}: retained index beyond int64 ({exc})") from exc
     steps = np.flatnonzero(np.diff(idx) <= 0)
     if steps.size:
         i = steps[0]
@@ -456,13 +468,16 @@ def save_plan(plan: RetentionPlan, path) -> None:
 def _read_json(path, what: str, build):
     """build(doc) of the JSON object stored in a file: the one reader of plans, models and policies.
 
-    A file that is not UTF-8 JSON or holds no object, a missing key, or a TypeError from `build` is a FormatError.
+    A file that is not UTF-8 JSON, nests deeper than the parser's recursion limit or holds no object, a missing
+    key, or a TypeError from `build` is a FormatError.
     """
     with _naming(path), open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
             raise FormatError(f"not valid JSON ({exc})") from exc
+        except RecursionError as exc:  # a RuntimeError, which no caller would otherwise expect of a reader
+            raise FormatError(f"JSON nested too deeply ({exc})") from exc
         if not isinstance(doc, dict):
             raise FormatError(f"expected a JSON object, got {type(doc).__name__}")
         try:
@@ -495,7 +510,9 @@ def apply_plan(bundle: KVBundle, plan: RetentionPlan) -> KVBundle:
     """Select the retained rows of every (layer, head), preserving order.
 
     Rows are copied verbatim (no rescaling): deterministic top-k retention
-    keeps the raw rows, unlike sampling schemes that reweight them.
+    keeps the raw rows, unlike sampling schemes that reweight them. The
+    output is not scanned for finiteness: its rows are copies of rows that
+    the input bundle tested.
     """
     if plan.n_layers != bundle.n_layers or plan.n_kv_heads != bundle.n_kv_heads:
         raise PlanMismatchError(
@@ -513,9 +530,9 @@ def apply_plan(bundle: KVBundle, plan: RetentionPlan) -> KVBundle:
     d = bundle.head_dim
     out = {name: [[np.empty((i.size, d), np.float32) for i in picks] for picks in rows] for name, _ in _present(bundle)}
 
-    def gather(l, h):  # every present tensor of head (l, h)
+    def gather(l, h):  # every present tensor of head (l, h); {name: True}, as its rows are copies of tested rows
         for name, dst in out.items():
             np.take(getattr(bundle, name)[l][h], rows[l][h], axis=0, out=dst[l][h], mode="clip")
+        return dict.fromkeys(out, True)
 
-    map_heads(gather, bundle.n_layers, bundle.n_kv_heads)
-    return KVBundle(**out)
+    return KVBundle._from_tested(map_heads(gather, bundle.n_layers, bundle.n_kv_heads), **out)

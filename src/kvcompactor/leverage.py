@@ -21,6 +21,13 @@ criterion C06). All three share one robustness policy: singular values are
 clamped at a relative floor so rank-deficient inputs degrade gracefully
 instead of failing.
 
+Each call tests finiteness once, on the k x k factor it decomposes (the
+Gram, or the R factor for qr), before any LAPACK call that could fail to
+converge: that factor is finite exactly when the keys are finite and
+neither their sketch nor their Gram overflows, which is a DataError. The
+N x d keys are not scanned again; a bundle's were tested when it was read
+or built (see kvstore).
+
 Scores are computed on pre-position-embedding keys when driven from a
 bundle; position embedding rotates keys and distorts the spectrum the
 scores are meant to summarize.
@@ -59,24 +66,33 @@ class LeverageResult:
 
 
 def _basis_and_rank(khat: np.ndarray, method: BasisMethod):
-    """Orthonormal-column basis of khat and the count of non-clamped directions."""
+    """Orthonormal-column basis of khat and the count of non-clamped directions.
+
+    The one finiteness test of leverage (see the module docstring) is on the k x k Gram, or the R factor for qr.
+    """
     khat = np.ascontiguousarray(khat, dtype=np.float64)
     n, k = khat.shape
 
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow or NaN is reported by the test below
+        if method.kind == "qr":
+            q, factor = np.linalg.qr(khat, mode="reduced")
+        else:
+            factor = khat.T @ khat
+    if not _finite(factor):
+        raise DataError("keys contain non-finite values, or values whose sketch or Gram overflows")
+
     if method.kind == "qr":
-        q, r = np.linalg.qr(khat, mode="reduced")
-        diag = np.abs(np.diag(r))
+        diag = np.abs(np.diag(factor))
         dmax = diag.max(initial=0.0)
         if dmax == 0.0:
             return np.zeros((n, k)), 0
         rank = int((diag > method.sigma_clamp * dmax).sum())
         return q, rank
 
-    gram = khat.T @ khat
     if method.kind == "svd_gram":
-        v, sq, _ = np.linalg.svd(gram)
+        v, sq, _ = np.linalg.svd(factor)
     else:
-        sq, v = np.linalg.eigh(gram)
+        sq, v = np.linalg.eigh(factor)
         sq = sq[::-1]
         v = v[:, ::-1]
     sigma = np.sqrt(np.clip(sq, 0.0, None))
@@ -96,10 +112,7 @@ def row_basis(khat: np.ndarray, method: BasisMethod = BasisMethod()) -> np.ndarr
     near-zero (gram routes) or unnormalized (qr) columns rather than
     raising.
     """
-    khat = _check_matrix("khat", khat)
-    if not _finite(khat):
-        raise DataError("khat contains non-finite values")
-    return _basis_and_rank(khat, method)[0]
+    return _basis_and_rank(_check_matrix("khat", khat), method)[0]
 
 
 def approx_leverage(
@@ -112,10 +125,8 @@ def approx_leverage(
     scores; smaller k trades accuracy for speed, degrading with the
     condition number of K.
     """
-    K = _check_matrix("K", K)
-    if not _finite(K):
-        raise DataError("K contains non-finite values")
-    khat = apply_sketch(K, sketch)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sketch is reported by _basis_and_rank
+        khat = apply_sketch(K, sketch)
     u, rank = _basis_and_rank(khat, method)
     ell = np.einsum("ij,ij->i", u, u)
     return LeverageResult(scores=ScoreVector(ell, kind="outlier"), effective_rank=rank)

@@ -87,11 +87,7 @@ def srht_components(d: int, spec: SketchSpec):
 
 def _parity(x: np.ndarray) -> np.ndarray:
     """1 where a non-negative integer has an odd number of set bits, else 0."""
-    p = np.zeros_like(x)
-    while x.any():
-        p ^= x & 1
-        x = x >> 1
-    return p
+    return (np.bitwise_count(x) & 1).astype(x.dtype)  # bitwise_count gives uint8, which 1 - 2 * p would wrap
 
 
 def srht_sketch(d: int, spec: SketchSpec) -> np.ndarray:

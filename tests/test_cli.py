@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import kvcompactor
-from kvcompactor import CalibrationModel, calib_value, invert_retention
+from kvcompactor import CalibrationModel, calib_value, calibrate, invert_retention, load_plan
 from kvcompactor.errors import DataError, FormatError
 from kvcompactor.harness import cli
 from kvcompactor.harness.cli import main
@@ -175,6 +176,24 @@ class TestPipeline:
         assert code == 2
         assert err.startswith("error:") and str(policy) in err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("kind", ["plan", "policy", "model"])
+    @pytest.mark.parametrize("opening", ["[", '{"a":'], ids=["lists", "objects"])
+    def test_deeply_nested_json_is_format_error(self, tmp_path, capsys, bundle_path, kind, opening):
+        # the JSON parser ends in RecursionError, which the reader maps to a FormatError naming the file
+        path = tmp_path / f"{kind}.json"
+        path.write_text(opening * 200_000)
+        load = {"plan": load_plan, "policy": cli._load_policy, "model": calibrate.load_model}[kind]
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: JSON nested too deeply"):
+            load(path)
+        argv = {
+            "plan": ["apply", "--bundle", bundle_path, "--plan", path, "--out", tmp_path / "o.kvt"],
+            "policy": ["evict", "--bundle", bundle_path, "--policy", path, "--out", tmp_path / "o.json"],
+            "model": ["calib", "plan", "--model", path, "--nll", 1.0],
+        }[kind]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith(f"error: {path}: JSON nested too deeply")
+        assert not list(tmp_path.glob("o.*"))
 
     @pytest.mark.parametrize(
         "command, field, value",

@@ -22,6 +22,7 @@ from kvcompactor import (
     mean_pool,
     noncausal_scores,
     random_eviction,
+    retained_count,
     save_bundle,
     select_topk,
     value_norm_scale,
@@ -99,6 +100,22 @@ class TestSelectTopK:
                 k = max(1, -(-(step * n) // 20))  # ceil(r*n) in exact integer arithmetic
                 got = select_topk(scores, r).tolist()
                 assert got == brute_force_topk(scores.tolist(), k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf]), st.floats(allow_nan=False)),
+            min_size=1,
+            max_size=40,
+        ),
+        st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_matches_stable_argsort(self, scores, r):
+        # the stable sort that the linear-time selection replaced: ties, +-inf and -0.0 == 0.0 included
+        v = np.array(scores)
+        want = np.sort(np.argsort(-v, kind="stable")[: retained_count(r, len(v))])
+        got = select_topk(v, r)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 50), st.integers(0, 2**16))

@@ -571,6 +571,30 @@ class TestRetentionPlan:
         assert plan.retained == ((tuple(idx),),)
         assert all(type(v) is int for v in plan.retained[0][0])
 
+    @pytest.mark.parametrize(
+        "idx", [[0, 2, 5], [3, 1], [1, 1], [-1, 2], [4, -2], [], [2**62, 2**63 - 1]],
+        ids=["valid", "unsorted", "duplicate", "negative", "negative_last", "empty", "large"],
+    )
+    def test_int64_array_checked_as_its_list(self, idx):
+        # an int64 vector skips the per-element type pass, and must give the same tuple or error as the list
+        def result(head):
+            try:
+                return kvstore._index_tuple(head, "layer 0 head 0")
+            except DataError as exc:
+                return str(exc)
+
+        got, want = result(np.array(idx, dtype=np.int64)), result(idx)
+        assert got == want and type(got) is type(want)
+        if isinstance(got, tuple):
+            assert all(type(v) is int for v in got)
+
+    def test_other_arrays_keep_the_type_pass(self):
+        with pytest.raises(DataError, match="retained indices must be integers, got bool"):
+            kvstore._index_tuple(np.array([True, False]), "w")
+        assert kvstore._index_tuple(np.array([0, 3], np.uint64), "w") == (0, 3)
+        with pytest.raises(DataError, match="indices must be strictly increasing, got 1 after 3"):
+            kvstore._index_tuple(np.array([3, 1], np.uint64), "w")
+
     @staticmethod
     def plan_file(path, layers):
         path.write_text(
@@ -713,6 +737,21 @@ class TestApplyPlan:
                     got = getattr(out, name)[l][h]
                     assert got.dtype == np.float32 and not got.flags.writeable
                     assert np.array_equal(got, getattr(b, name)[l][h][retained[l][h]])
+
+    def test_output_not_scanned_again(self, monkeypatch):
+        # the gathered rows are copies of rows the input bundle tested, so the output takes their flags
+        b = make_bundle(np.random.default_rng(10), layers=2, heads=2, n=8, d=3)
+        scans = []
+        monkeypatch.setattr(kvstore, "_finite", lambda mat: scans.append(mat.shape) or True)
+        plan = RetentionPlan(retained=[[(0, 5), (2, 3, 7)], [(1,), (0, 4, 6)]], retention_target=0.5, policy_name="x")
+        out = apply_plan(b, plan)
+        assert scans == []
+        for name in ("keys_prerope", "keys", "values", "queries"):
+            for l in range(2):
+                for h in range(2):
+                    got = getattr(out, name)[l][h]
+                    assert not got.flags.writeable
+                    assert np.array_equal(got, getattr(b, name)[l][h][list(plan.retained[l][h])])
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())

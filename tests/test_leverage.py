@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from kvcompactor import BasisMethod, SketchSpec, approx_leverage, exact_leverage, row_basis
+from kvcompactor import BasisMethod, SketchSpec, apply_sketch, approx_leverage, exact_leverage, row_basis
 from kvcompactor.errors import DataError, ParameterError
+from kvcompactor.leverage import BASIS_KINDS
+from kvcompactor.sketch import SKETCH_KINDS
 
 
 def oracle_leverage(K, tol=1e-10):
@@ -130,6 +134,54 @@ class TestApproxLeverage:
         res = approx_leverage(K, SketchSpec("gaussian", 8, 0))
         assert res.effective_rank == 1
         assert np.isfinite(res.scores.scores).all()
+
+
+class TestNonFiniteKeys:
+    """Leverage tests finiteness once, on the k x k factor it decomposes; no input reaches LAPACK unchecked."""
+
+    @staticmethod
+    def leverage(K, kind, method):
+        spec = SketchSpec(kind, K.shape[1] if kind == "none" else 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow or invalid-value RuntimeWarning escapes
+            return approx_leverage(K, spec, BasisMethod(method))
+
+    @pytest.mark.parametrize("method", BASIS_KINDS)
+    @pytest.mark.parametrize("kind", SKETCH_KINDS)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nonfinite_key_is_data_error(self, method, kind, value, dtype):
+        K = np.random.default_rng(12).standard_normal((50, 8)).astype(dtype)
+        K[17, 3] = value
+        with pytest.raises(DataError, match="^keys contain non-finite values"):
+            self.leverage(K, kind, method)
+
+    @pytest.mark.parametrize("method", BASIS_KINDS)
+    @pytest.mark.parametrize("kind", ["gaussian", "srht"])
+    @pytest.mark.parametrize("K", [np.full((50, 8), 3e38, np.float32), np.full((50, 8), 1.7e308)], ids=["f32", "f64"])
+    def test_overflowing_sketch_is_data_error(self, method, kind, K):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(apply_sketch(K, SketchSpec(kind, 4))).all()
+        with pytest.raises(DataError, match="^keys contain non-finite values, or values whose sketch"):
+            self.leverage(K, kind, method)
+
+    @pytest.mark.parametrize("kind", SKETCH_KINDS)
+    def test_overflowing_gram_is_data_error(self, kind):
+        # finite keys with a finite sketch whose Gram overflows float64; qr forms no Gram, and scores them
+        K = np.full((50, 8), 1e200)
+        for method in ("svd_gram", "eig_gram"):
+            with pytest.raises(DataError, match="^keys contain non-finite values"):
+                self.leverage(K, kind, method)
+        assert np.isfinite(self.leverage(K, kind, "qr").scores.scores).all()
+
+    @pytest.mark.parametrize("method", BASIS_KINDS)
+    def test_row_basis_shares_the_test(self, method):
+        with pytest.raises(DataError, match="^keys contain non-finite values"):
+            row_basis(np.array([[np.nan, 1.0], [0.0, 1.0]]), BasisMethod(method))
+
+    def test_sketch_spec_checked_first(self):
+        with pytest.raises(ParameterError, match="gaussian sketch needs k <= d"):
+            approx_leverage(np.full((5, 4), np.nan), SketchSpec("gaussian", 8))
 
 
 class TestRowBasis:

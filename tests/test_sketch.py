@@ -3,7 +3,7 @@ import pytest
 
 from kvcompactor import SketchSpec, apply_sketch, gaussian_sketch
 from kvcompactor.errors import ParameterError
-from kvcompactor.sketch import next_pow2, srht_components, srht_sketch
+from kvcompactor.sketch import _parity, next_pow2, srht_components, srht_sketch
 
 
 def sylvester_hadamard(n):
@@ -11,6 +11,17 @@ def sylvester_hadamard(n):
     while h.shape[0] < n:
         h = np.block([[h, h], [h, -h]])
     return h
+
+
+def test_parity_matches_bit_loop():
+    # the shift-and-xor loop that np.bitwise_count replaced
+    x = np.concatenate([np.arange(4096), np.random.default_rng(1).integers(0, 2**62, 256)])
+    p, y = np.zeros_like(x), x.copy()
+    while y.any():
+        p ^= y & 1
+        y >>= 1
+    got = _parity(x)
+    assert got.dtype == x.dtype and np.array_equal(got, p)
 
 
 class TestGaussian:
