@@ -38,7 +38,7 @@ from .kvstore import (
     save_bundle,
     save_plan,
 )
-from .leverage import BasisMethod, LeverageResult, approx_leverage, exact_leverage, row_basis
+from .leverage import BasisMethod, LeverageResult, approx_leverage, exact_leverage
 from .sketch import SketchSpec, apply_sketch, gaussian_sketch
 
 __version__ = "0.1.0"
@@ -75,7 +75,6 @@ __all__ = [
     "noncausal_scores",
     "random_eviction",
     "retained_count",
-    "row_basis",
     "save_bundle",
     "save_plan",
     "select_topk",

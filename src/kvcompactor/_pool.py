@@ -6,12 +6,10 @@ thread pool instead. While the pool runs, the loaded OpenBLAS is held to
 one thread, else its workers spin on the cores the pool needs; the old
 count is restored afterwards. Without OpenBLAS or with one usable core the
 tasks run in order on the calling thread, BLAS untouched. Each worker holds
-one task's working set. To score a head, that is one logits buffer: a
-causal block of at most attnscore._LOGITS_BYTES, mapped for the call and
-unmapped on return, or a batch of full non-causal chunks of at most
-attnscore._CHUNK_BATCH_BYTES. To load one, a worker reads the head's
-part of the payload and tests each span of at most kvstore._SPAN_BYTES
-for finiteness as soon as it is read.
+one task's working set: to score a head, the budget that attnscore's
+module docstring states; to load one, a span of at most
+kvstore._SPAN_BYTES of the head's part of the payload, tested for
+finiteness as soon as it is read.
 """
 
 import ctypes

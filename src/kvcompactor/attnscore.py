@@ -15,20 +15,34 @@ scale, the max-subtraction, exp and the row normalization run in float32;
 any other pair is scored in float64. Either way the softmax row sums and
 the per-token scores are accumulated in float64.
 
-Working memory per head is O(N) float64 score vectors and one logits
-buffer in the scoring dtype, plus copies of Q and K only when they are
-not already C-contiguous in that dtype (a bundle's heads never are
-copied); each pool worker scores one head at a time. The full non-causal
-chunks are scored in batches of at most ``_CHUNK_BATCH_BYTES`` (2 MiB) of
-logits, or one chunk when a chunk alone is larger: each batch is one
-batched GEMM into one buffer allocated per call, and its reductions run
-along the same axes, in the same order, as one chunk's, so the scores are
-those of a chunk-by-chunk loop bit for bit. The short last chunk is scored
-on its own. The causal baselines score query rows [s, e) against only the
-e keys those rows can see, in blocks of at most ``_LOGITS_BYTES`` (4 MiB)
-of logits, or one row when a row alone is larger, so that block does not
-grow with N. Every causal block of a head is computed into one buffer of
-the largest block's size, mapped for the call and unmapped on return.
+The full non-causal chunks are scored in batches of at most
+``_CHUNK_BATCH_BYTES`` of logits: each batch is one batched GEMM into one
+buffer allocated per call, and its reductions run along the same axes, in
+the same order, as one chunk's, so the scores are those of a
+chunk-by-chunk loop bit for bit. The short last chunk is scored on its
+own. The causal baselines score query rows [s, e) against only the e keys
+those rows can see, in blocks of at most ``_LOGITS_BYTES`` of logits, so
+that block does not grow with N. Every causal block of a head is computed
+into one buffer of the largest block's size, mapped for the call and
+unmapped on return.
+
+Memory budget. The package's scoring memory is stated here and in one
+README paragraph; other modules point here. Heads are scored on a pool
+(see ``_pool``), one head at a time per worker, so the budget is one
+head's working set per worker. That is O(N) float64 score vectors, copies
+of Q and K only when they are not already C-contiguous in the scoring
+dtype (a bundle's heads never are copied), and the larger of two terms,
+as the first is freed before the second is allocated:
+
+- leverage (``leverage.approx_leverage``, for the compactor and
+  leverage_only policies): N * k * 16 bytes for a sketch of k columns
+  (k = d under kind "none"), the float64 copy of the sketch and the
+  float64 basis; a float32 sketch is freed as it is copied;
+- one logits buffer in the scoring dtype: a batch of full non-causal
+  chunks of at most ``_CHUNK_BATCH_BYTES`` (2 MiB, or one chunk_size^2
+  chunk when that is larger), or for h2o and snapkv one causal block of
+  at most ``_LOGITS_BYTES`` (4 MiB; baseline_window x N while that fits,
+  or one row when a row is larger).
 
 Mean pooling (centered moving average, edge-truncated) and value-norm
 scaling are separate steps so callers control the post-processing order;
@@ -117,12 +131,13 @@ def _causal_scores(Q, K, cfg: AttnScoreConfig, start: int) -> ScoreVector:
     buf = np.frombuffer(mmap.mmap(-1, count * Q.itemsize), Q.dtype, count)
     # query s + i sees keys 0..s + i; the mask is at most a quarter of the budget (rows, m <= n, itemsize >= 4)
     upper = np.triu(np.ones((min(rows, n - start),) * 2, bool), 1)
-    for s in range(start, n, rows):
-        e = min(s + rows, n)
-        logits = np.matmul(Q[s:e], K[:e].T, out=buf[: (e - s) * e].reshape(e - s, e))
-        logits *= scale
-        np.copyto(logits[:, s:], -np.inf, where=upper[: e - s, : e - s])
-        _softmax_colsum(logits, out[:e])
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing logits are reported by ScoreVector
+        for s in range(start, n, rows):
+            e = min(s + rows, n)
+            logits = np.matmul(Q[s:e], K[:e].T, out=buf[: (e - s) * e].reshape(e - s, e))
+            logits *= scale
+            np.copyto(logits[:, s:], -np.inf, where=upper[: e - s, : e - s])
+            _softmax_colsum(logits, out[:e])
     return ScoreVector(out, kind="baseline")
 
 
@@ -141,18 +156,19 @@ def noncausal_scores(Q: np.ndarray, K: np.ndarray, cfg: AttnScoreConfig = AttnSc
     per = max(1, _CHUNK_BATCH_BYTES // (Q.itemsize * c * c))  # full chunks per batch
     # malloc'd, unlike the causal block: mapping it afresh for every small head costs more than batching saves
     buf = np.empty(min(per, full) * c * c, Q.dtype)
-    for b in range(0, full, per):
-        m = min(per, full - b)
-        s, e = b * c, (b + m) * c
-        Kt = K[s:e].reshape(m, c, d).transpose(0, 2, 1)
-        logits = np.matmul(Q[s:e].reshape(m, c, d), Kt, out=buf[: m * c * c].reshape(m, c, c))
-        logits *= scale
-        _softmax_colsum(logits, out[s:e].reshape(m, c))
-    if full * c < n:
-        s = full * c
-        logits = Q[s:] @ K[s:].T
-        logits *= scale
-        _softmax_colsum(logits, out[s:])
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing logits are reported by ScoreVector
+        for b in range(0, full, per):
+            m = min(per, full - b)
+            s, e = b * c, (b + m) * c
+            Kt = K[s:e].reshape(m, c, d).transpose(0, 2, 1)
+            logits = np.matmul(Q[s:e].reshape(m, c, d), Kt, out=buf[: m * c * c].reshape(m, c, c))
+            logits *= scale
+            _softmax_colsum(logits, out[s:e].reshape(m, c))
+        if full * c < n:
+            s = full * c
+            logits = Q[s:] @ K[s:].T
+            logits *= scale
+            _softmax_colsum(logits, out[s:])
     return ScoreVector(out, kind="attention")
 
 

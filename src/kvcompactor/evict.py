@@ -177,9 +177,8 @@ def _select(policy: EvictionPolicy, s: Optional[ScoreVector], n: int, r: float, 
 def _each_head(bundle: KVBundle, fn) -> list:
     """[[fn(bundle.head(l, h), l, h) for each head h] for each layer l], one pool task per (layer, head).
 
-    Every policy's heads share the pool: a worker scores one head at a time, holding its O(N) vectors and
-    one logits buffer, a causal block of at most attnscore._LOGITS_BYTES mapped for the call, or a batch of
-    non-causal chunks of at most attnscore._CHUNK_BATCH_BYTES.
+    Every policy's heads share the pool: a worker scores one head at a time, within the memory budget that
+    attnscore's module docstring states.
     """
     return map_heads(lambda l, h: fn(bundle.head(l, h), l, h), bundle.n_layers, bundle.n_kv_heads)
 
@@ -196,8 +195,7 @@ def compress_bundle(bundle: KVBundle, policy: EvictionPolicy) -> RetentionPlan:
     A pure function of (bundle, policy), including all seeds, so the plan's
     ``metadata["policy"]`` alone reproduces it, on any number of threads:
     heads are scored on one thread per usable core, each holding one head's
-    working set (at most attnscore._LOGITS_BYTES of causal logits, mapped for the call, or
-    attnscore._CHUNK_BATCH_BYTES of non-causal ones). A policy that needs queries
+    working set (see attnscore's module docstring). A policy that needs queries
     or pre-rope keys the bundle lacks raises DataError from its first head.
     """
     n_layers = bundle.n_layers

@@ -80,7 +80,7 @@ def _rates(value, error):
     return tuple(map(float, value)) if per_layer else float(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreVector:
     """Length-N importance scores for one head."""
 
@@ -133,7 +133,7 @@ def _as_nested(data, name: str):
         raise ParameterError(f"{name}: {_RANK_ERROR}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HeadTensors:
     """The matrices of one (layer, head), as float32 views."""
 
@@ -143,7 +143,7 @@ class HeadTensors:
     queries: Optional[np.ndarray]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KVBundle:
     """Per-layer, per-head key/value/query matrices for one context.
 

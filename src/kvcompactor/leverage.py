@@ -3,8 +3,9 @@
 The leverage score of row i is the squared norm of the i-th row of an
 orthonormal column basis U of the matrix; scores lie in [0, 1] and sum to
 the rank. Rather than an SVD of the full N x d matrix, U is recovered from
-the d x d Gram matrix (svd of K^T K gives V and the squared spectrum, then
-U = K V Sigma^-1), which turns the computation into one small SVD plus two
+the matrix's singular values sigma and right singular vectors V as
+U = K V Sigma^-1, which the Gram route gets from the d x d Gram matrix
+(svd of K^T K gives V and the squared spectrum): one small SVD plus two
 GEMMs. Approximate scores right-sketch K first and run the same recovery on
 the N x k sketch.
 
@@ -15,11 +16,17 @@ condition number, so float32 there would lose the small directions that
 leverage is meant to find.
 
 Three basis subroutines are provided: the Gram-SVD route above, which is
-the default and the only one the eviction pipeline uses, plus reduced QR
-and Gram eigendecomposition, kept as cross-checks of it (acceptance
-criterion C06). All three share one robustness policy: singular values are
-clamped at a relative floor so rank-deficient inputs degrade gracefully
-instead of failing.
+the default and the only one the eviction pipeline uses, plus Gram
+eigendecomposition and an SVD of the sketch's R factor from a reduced QR,
+kept as cross-checks of it (acceptance criterion C06). Each supplies only
+sigma and V; everything after that is shared. Singular values are clamped
+at ``sigma_clamp`` times the largest, so rank-deficient inputs degrade
+gracefully instead of failing; the effective rank counts those above the
+floor, and the scores are the squared row norms of K V / max(sigma, floor).
+Under every route, each direction above the floor adds 1 to the scores'
+sum and each below it (sigma / floor)^2 < 1, so a rank-deficient sketch
+sums to about its effective rank. An all-zero sketch scores zero with
+rank 0.
 
 Each call tests finiteness once, on the k x k factor it decomposes (the
 Gram, or the R factor for qr), before any LAPACK call that could fail to
@@ -57,62 +64,12 @@ class BasisMethod:
         _check_field("sigma_clamp", self.sigma_clamp, "real", "(0, 1)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeverageResult:
     """Outlier scores and the count of non-clamped basis directions."""
 
     scores: ScoreVector
     effective_rank: int
-
-
-def _basis_and_rank(khat: np.ndarray, method: BasisMethod):
-    """Orthonormal-column basis of khat and the count of non-clamped directions.
-
-    The one finiteness test of leverage (see the module docstring) is on the k x k Gram, or the R factor for qr.
-    """
-    khat = np.ascontiguousarray(khat, dtype=np.float64)
-    n, k = khat.shape
-
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow or NaN is reported by the test below
-        if method.kind == "qr":
-            q, factor = np.linalg.qr(khat, mode="reduced")
-        else:
-            factor = khat.T @ khat
-    if not _finite(factor):
-        raise DataError("keys contain non-finite values, or values whose sketch or Gram overflows")
-
-    if method.kind == "qr":
-        diag = np.abs(np.diag(factor))
-        dmax = diag.max(initial=0.0)
-        if dmax == 0.0:
-            return np.zeros((n, k)), 0
-        rank = int((diag > method.sigma_clamp * dmax).sum())
-        return q, rank
-
-    if method.kind == "svd_gram":
-        v, sq, _ = np.linalg.svd(factor)
-    else:
-        sq, v = np.linalg.eigh(factor)
-        sq = sq[::-1]
-        v = v[:, ::-1]
-    sigma = np.sqrt(np.clip(sq, 0.0, None))
-    smax = sigma[0]
-    if smax == 0.0:
-        return np.zeros((n, k)), 0
-    floor = method.sigma_clamp * smax
-    rank = int((sigma > floor).sum())
-    u = khat @ (v / np.maximum(sigma, floor))
-    return u, rank
-
-
-def row_basis(khat: np.ndarray, method: BasisMethod = BasisMethod()) -> np.ndarray:
-    """Orthonormal-column basis U of khat via the chosen subroutine.
-
-    Clamping absorbs rank deficiency: clamped directions come back with
-    near-zero (gram routes) or unnormalized (qr) columns rather than
-    raising.
-    """
-    return _basis_and_rank(_check_matrix("khat", khat), method)[0]
 
 
 def approx_leverage(
@@ -125,14 +82,33 @@ def approx_leverage(
     scores; smaller k trades accuracy for speed, degrading with the
     condition number of K.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sketch is reported by _basis_and_rank
-        khat = apply_sketch(K, sketch)
-    u, rank = _basis_and_rank(khat, method)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow or NaN is reported by the test below
+        khat = np.ascontiguousarray(apply_sketch(K, sketch), dtype=np.float64)
+        factor = np.linalg.qr(khat, mode="r") if method.kind == "qr" else khat.T @ khat
+    if not _finite(factor):
+        raise DataError("keys contain non-finite values, or values whose sketch or Gram overflows")
+
+    # each route gives the sketch's singular values, largest first, and its right singular vectors
+    if method.kind == "qr":
+        _, sigma, vt = np.linalg.svd(factor, full_matrices=False)
+        v = vt.T
+    else:
+        if method.kind == "svd_gram":
+            v, sq, _ = np.linalg.svd(factor)
+        else:
+            sq, v = np.linalg.eigh(factor)
+            sq = sq[::-1]
+            v = v[:, ::-1]
+        sigma = np.sqrt(np.clip(sq, 0.0, None))
+    if sigma[0] == 0.0:  # an all-zero sketch
+        return LeverageResult(scores=ScoreVector(np.zeros(khat.shape[0]), kind="outlier"), effective_rank=0)
+    floor = method.sigma_clamp * sigma[0]
+    u = khat @ (v / np.maximum(sigma, floor))
     ell = np.einsum("ij,ij->i", u, u)
-    return LeverageResult(scores=ScoreVector(ell, kind="outlier"), effective_rank=rank)
+    return LeverageResult(scores=ScoreVector(ell, kind="outlier"), effective_rank=int((sigma > floor).sum()))
 
 
 def exact_leverage(K: np.ndarray, method: BasisMethod = BasisMethod()) -> LeverageResult:
-    """Exact leverage scores via the Gram identity (no sketching)."""
+    """Exact leverage scores of the rows of K (no sketching)."""
     K = _check_matrix("K", K)
     return approx_leverage(K, SketchSpec(kind="none", target_dim=K.shape[1]), method)

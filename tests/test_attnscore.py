@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,10 @@ from hypothesis import strategies as st
 
 from kvcompactor import (
     AttnScoreConfig,
+    EvictionPolicy,
+    KVBundle,
     ScoreVector,
+    compress_bundle,
     h2o_scores,
     mean_pool,
     noncausal_scores,
@@ -13,7 +18,7 @@ from kvcompactor import (
     value_norm_scale,
 )
 from kvcompactor import attnscore
-from kvcompactor.errors import ParameterError
+from kvcompactor.errors import DataError, ParameterError
 
 
 def dense_softmax(logits):
@@ -253,6 +258,30 @@ class TestFloat32:
     def test_noncausal_copies_neither_input(self, peak_bytes):
         Q, K = (x.astype(np.float32) for x in pair(np.random.default_rng(15), 8192, 128))
         assert peak_bytes(noncausal_scores, Q, K) < Q.nbytes
+
+
+class TestOverflowingLogits:
+    """Finite float32 inputs whose logits overflow are one DataError, from ScoreVector, and no RuntimeWarning."""
+
+    # 520 rows: two full chunks of 256 and a short last chunk of 8
+    X = (1e20 * np.random.default_rng(16).standard_normal((520, 16))).astype(np.float32)
+
+    @staticmethod
+    def raises_data_error(fn, *args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow or invalid-value warning would be raised in its place
+            with pytest.raises(DataError, match="^scores contain non-finite values$"):
+                fn(*args)
+
+    @pytest.mark.parametrize("fn", [noncausal_scores, h2o_scores, snapkv_scores])
+    def test_kernels(self, fn):
+        self.raises_data_error(fn, self.X, self.X)
+
+    @pytest.mark.parametrize("kind", ["compactor", "h2o", "snapkv"])
+    def test_compress_bundle(self, kind):
+        x = np.broadcast_to(self.X, (1, 2, *self.X.shape))  # two heads, so pool workers score them
+        bundle = KVBundle(keys=x, values=np.ones_like(x), keys_prerope=x, queries=x)
+        self.raises_data_error(compress_bundle, bundle, EvictionPolicy(kind=kind, retention=0.5))
 
 
 class TestMeanPool:

@@ -9,7 +9,7 @@ import pytest
 from kvcompactor import AttnScoreConfig, BasisMethod, CalibTriple, CalibrationModel, EvictionPolicy, RetentionPlan
 from kvcompactor import ScoreVector, SketchSpec, apply_sketch, approx_leverage, blend_scores, calib_value
 from kvcompactor import exact_leverage, fit_calibration, gaussian_sketch, h2o_scores, invert_retention, mean_pool
-from kvcompactor import noncausal_scores, random_eviction, retained_count, row_basis, snapkv_scores, value_norm_scale
+from kvcompactor import noncausal_scores, random_eviction, retained_count, snapkv_scores, value_norm_scale
 from kvcompactor.errors import DataError, ParameterError, _check_field
 from kvcompactor.harness import SynthProfile, bench_scaling, conditioned_matrix, sample_size, synth_bundle
 from kvcompactor.harness import verify_spectral, verify_thm2
@@ -141,7 +141,6 @@ _FULL = np.ones((5, 3))
 @pytest.mark.parametrize(
     "call, name",
     [
-        (lambda m: row_basis(m), "khat"),
         (lambda m: exact_leverage(m), "K"),
         (lambda m: approx_leverage(m, SketchSpec("gaussian", 1)), "K"),
         (lambda m: noncausal_scores(m, m), "Q"),
@@ -152,7 +151,7 @@ _FULL = np.ones((5, 3))
         (lambda m: apply_sketch(m, SketchSpec("none", 1)), "K"),
         (lambda m: value_norm_scale(_SCORES, m), "V"),
     ],
-    ids=["row_basis", "exact", "approx", "noncausal", "h2o", "snapkv", "noncausal_K", "sketch", "sketch_none", "value_norm"],
+    ids=["exact", "approx", "noncausal", "h2o", "snapkv", "noncausal_K", "sketch", "sketch_none", "value_norm"],
 )
 @pytest.mark.parametrize("matrix", [_EMPTY, _EMPTY.T, np.ones(5), np.ones((1, 5, 3))], ids=["no_cols", "no_rows", "1d", "3d"])
 def test_matrix_argument_shape(call, name, matrix):

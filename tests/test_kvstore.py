@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvcompactor import _pool, kvstore
-from kvcompactor import AttnScoreConfig, EvictionPolicy, KVBundle, RetentionPlan, SketchSpec, apply_plan
+from kvcompactor import AttnScoreConfig, EvictionPolicy, KVBundle, RetentionPlan, SketchSpec, apply_plan, approx_leverage
 from kvcompactor import compress_bundle, load_bundle, load_plan, retained_count, save_bundle, save_plan
 from kvcompactor.errors import DataError, FormatError, ParameterError, PlanMismatchError, TruncationError
 from kvcompactor.harness import SynthProfile, synth_bundle
@@ -262,6 +262,14 @@ class TestBundleFormat:
             mat[data.draw(st.integers(0, shape[0] - 1)), data.draw(st.integers(0, shape[1] - 1))] = value
         assert kvstore._finite(mat) == bool(np.isfinite(mat).all())
 
+
+def test_array_holders_compare_by_identity():
+    # a generated == would compare the arrays and raise; bundles, heads, scores and leverage compare and hash as objects
+    profile = SynthProfile(kind="gaussian_iid", N=16, d=4, seed=0)
+    a, b = synth_bundle(profile), synth_bundle(profile)
+    la, lb = (approx_leverage(x.head(0, 0).keys, SketchSpec("none", 4)) for x in (a, b))
+    for x, y in [(a, b), (a.head(0, 0), b.head(0, 0)), (la.scores, lb.scores), (la, lb)]:
+        assert x == x and x != y and x not in [y] and len({x, y}) == 2
 
 class _FailingWrite:
     """A file whose write number `fail_at` raises OSError (write 1 is save_bundle's zeroed header)."""

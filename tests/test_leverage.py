@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kvcompactor import BasisMethod, SketchSpec, apply_sketch, approx_leverage, exact_leverage, row_basis
+from kvcompactor import BasisMethod, SketchSpec, apply_sketch, approx_leverage, exact_leverage
 from kvcompactor.errors import DataError, ParameterError
 from kvcompactor.leverage import BASIS_KINDS
 from kvcompactor.sketch import SKETCH_KINDS
@@ -126,7 +126,13 @@ class TestApproxLeverage:
         got, want = approx_leverage(K, spec), approx_leverage(K.astype(np.float64), spec)
         assert got.effective_rank == want.effective_rank
         assert np.array_equal(got.scores.scores, want.scores.scores)
-        assert np.array_equal(row_basis(K), row_basis(K.astype(np.float64)))
+
+    @pytest.mark.parametrize("kind, k", [("gaussian", 16), ("srht", 16), ("none", 64)])
+    def test_memory_is_the_float64_sketch_and_basis(self, peak_bytes, kind, k):
+        # the budget attnscore's module docstring states: N * k * 16 bytes, plus O(N) vectors and O(k^2) factors
+        n = 8192
+        K = np.random.default_rng(17).standard_normal((n, 64)).astype(np.float32)
+        assert peak_bytes(approx_leverage, K, SketchSpec(kind, k, seed=1)) < 16 * n * k + 16 * n + 64 * k * k
 
     def test_rank_deficient_never_errors(self):
         K = np.zeros((20, 8))
@@ -177,7 +183,7 @@ class TestNonFiniteKeys:
     @pytest.mark.parametrize("method", BASIS_KINDS)
     def test_row_basis_shares_the_test(self, method):
         with pytest.raises(DataError, match="^keys contain non-finite values"):
-            row_basis(np.array([[np.nan, 1.0], [0.0, 1.0]]), BasisMethod(method))
+            exact_leverage(np.array([[np.nan, 1.0], [0.0, 1.0]]), BasisMethod(method))
 
     def test_sketch_spec_checked_first(self):
         with pytest.raises(ParameterError, match="gaussian sketch needs k <= d"):
@@ -185,23 +191,48 @@ class TestNonFiniteKeys:
 
 
 class TestRowBasis:
+    """The basis every BasisMethod route recovers, seen through its squared row norms, the scores.
+
+    The routes share one clamp, rank rule and scaled basis, so the scores sum to the effective rank under each.
+    """
+
     def test_orthonormal_input(self):
         q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((32, 8)))
-        u = row_basis(q)
-        assert np.allclose(u.T @ u, np.eye(8), atol=1e-5)
+        for method in BASIS_KINDS:
+            res = exact_leverage(q, BasisMethod(method))
+            assert res.effective_rank == 8
+            assert np.allclose(res.scores.scores, (q**2).sum(axis=1), atol=1e-10)
 
     @pytest.mark.parametrize("kind", ["qr", "eig_gram"])
     def test_methods_agree_on_row_norms(self, kind):
         khat = np.random.default_rng(5).standard_normal((256, 16))
-        ref = (row_basis(khat, BasisMethod("svd_gram")) ** 2).sum(axis=1)
-        alt = (row_basis(khat, BasisMethod(kind)) ** 2).sum(axis=1)
+        ref = exact_leverage(khat, BasisMethod("svd_gram")).scores.scores
+        alt = exact_leverage(khat, BasisMethod(kind)).scores.scores
         assert np.abs(ref - alt).max() < 1e-4
 
     def test_zero_column_drops_rank(self):
         khat = np.random.default_rng(6).standard_normal((64, 8))
         khat[:, 3] = 0.0
-        res = approx_leverage(khat, SketchSpec("none", 8))
-        assert res.effective_rank == 7
+        for method in BASIS_KINDS:
+            res = approx_leverage(khat, SketchSpec("none", 8), BasisMethod(method))
+            assert res.effective_rank == 7, method
+            assert abs(res.scores.scores.sum() - 7) < 1e-9, method
+
+    @pytest.mark.parametrize("method", BASIS_KINDS)
+    def test_rank_one_outer_product(self, method):
+        # one direction above the floor and seven far below it: the clamped ones add almost nothing
+        a = np.random.default_rng(0).standard_normal(50)
+        b = np.random.default_rng(1).standard_normal(8)
+        res = exact_leverage(np.outer(a, b), BasisMethod(method))
+        assert res.effective_rank == 1
+        assert abs(res.scores.scores.sum() - 1) < 1e-9
+
+    @pytest.mark.parametrize("method", BASIS_KINDS)
+    def test_fewer_rows_than_columns(self, method):
+        # qr's R factor is 5 x 8 here, so its SVD is the reduced one
+        res = exact_leverage(np.random.default_rng(8).standard_normal((5, 8)), BasisMethod(method))
+        assert res.effective_rank == 5
+        assert np.allclose(res.scores.scores, 1.0, atol=1e-9)
 
     def test_bad_method_kind(self):
         with pytest.raises(ParameterError):
