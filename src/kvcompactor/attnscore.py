@@ -15,16 +15,16 @@ scale, the max-subtraction, exp and the row normalization run in float32;
 any other pair is scored in float64. Either way the softmax row sums and
 the per-token scores are accumulated in float64.
 
-The full non-causal chunks are scored in batches of at most
-``_CHUNK_BATCH_BYTES`` of logits: each batch is one batched GEMM into one
-buffer allocated per call, and its reductions run along the same axes, in
-the same order, as one chunk's, so the scores are those of a
-chunk-by-chunk loop bit for bit. The short last chunk is scored on its
-own. The causal baselines score query rows [s, e) against only the e keys
-those rows can see, in blocks of at most ``_LOGITS_BYTES`` of logits, so
-that block does not grow with N. Every causal block of a head is computed
-into one buffer of the largest block's size, mapped for the call and
-unmapped on return.
+The non-causal chunks are scored in batches of full chunks of at most
+``_CHUNK_BATCH_BYTES`` of logits, then the short last chunk, if any, as a
+batch of one: each batch is one batched GEMM into the same buffer,
+allocated per call at the largest batch's size, and its reductions run
+along the same axes, in the same order, as one chunk's, so the scores are
+those of a chunk-by-chunk loop bit for bit. The causal baselines score
+query rows [s, e) against only the e keys those rows can see, in blocks of
+at most ``_LOGITS_BYTES`` of logits, so that block does not grow with N.
+Every causal block of a head is computed into one buffer of the largest
+block's size, mapped for the call and unmapped on return.
 
 Memory budget. The package's scoring memory is stated here and in one
 README paragraph; other modules point here. Heads are scored on a pool
@@ -38,11 +38,12 @@ as the first is freed before the second is allocated:
   leverage_only policies): N * k * 16 bytes for a sketch of k columns
   (k = d under kind "none"), the float64 copy of the sketch and the
   float64 basis; a float32 sketch is freed as it is copied;
-- one logits buffer in the scoring dtype: a batch of full non-causal
-  chunks of at most ``_CHUNK_BATCH_BYTES`` (2 MiB, or one chunk_size^2
-  chunk when that is larger), or for h2o and snapkv one causal block of
-  at most ``_LOGITS_BYTES`` (4 MiB; baseline_window x N while that fits,
-  or one row when a row is larger).
+- attention: each call computes every logits block into one buffer in
+  the scoring dtype, of at most ``_CHUNK_BATCH_BYTES`` for non-causal
+  chunks (2 MiB, or one chunk_size^2 chunk when that is larger), or for
+  h2o and snapkv of at most ``_LOGITS_BYTES`` (4 MiB; baseline_window x N
+  while that fits, or one row when a row is larger); a causal block adds
+  a boolean mask of at most a quarter of its size.
 
 Mean pooling (centered moving average, edge-truncated) and value-norm
 scaling are separate steps so callers control the post-processing order;
@@ -123,14 +124,15 @@ def _causal_scores(Q, K, cfg: AttnScoreConfig, start: int) -> ScoreVector:
     """Causal attention accumulated over query rows start..N-1, in row blocks of at most _LOGITS_BYTES."""
     n = Q.shape[0]
     scale = _scale(cfg, Q.shape[1])
-    rows = max(1, _LOGITS_BYTES // (Q.itemsize * max(n, 1)))  # n == 0 reaches ScoreVector's error
+    rows = max(1, _LOGITS_BYTES // (Q.itemsize * n))
     out = np.zeros(n)
     # one buffer for every block, as blocks grow with e; mapped, not malloc'd, because a pool worker's malloc
     # arena would keep a freed block of this size, and the mapping is released when the call returns
     count = min(rows, n - start) * n
     buf = np.frombuffer(mmap.mmap(-1, count * Q.itemsize), Q.dtype, count)
     # query s + i sees keys 0..s + i; the mask is at most a quarter of the budget (rows, m <= n, itemsize >= 4)
-    upper = np.triu(np.ones((min(rows, n - start),) * 2, bool), 1)
+    ramp = np.arange(min(rows, n - start))
+    upper = ramp[:, None] < ramp
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing logits are reported by ScoreVector
         for s in range(start, n, rows):
             e = min(s + rows, n)
@@ -152,23 +154,21 @@ def noncausal_scores(Q: np.ndarray, K: np.ndarray, cfg: AttnScoreConfig = AttnSc
     (n, d), c = Q.shape, cfg.chunk_size
     scale = _scale(cfg, d)
     out = np.zeros(n)
-    full = n // c
+    full, tail = divmod(n, c)
     per = max(1, _CHUNK_BATCH_BYTES // (Q.itemsize * c * c))  # full chunks per batch
-    # malloc'd, unlike the causal block: mapping it afresh for every small head costs more than batching saves
-    buf = np.empty(min(per, full) * c * c, Q.dtype)
+    # (first row, chunks, rows per chunk) per step: batches of full chunks, then the short last chunk as a batch of one
+    steps = [(b * c, min(per, full - b), c) for b in range(0, full, per)]
+    if tail:
+        steps.append((full * c, 1, tail))
+    # one buffer for the largest step, malloc'd: mapping it afresh for every small head costs more than batching saves
+    buf = np.empty(max(min(per, full) * c * c, tail * tail), Q.dtype)
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing logits are reported by ScoreVector
-        for b in range(0, full, per):
-            m = min(per, full - b)
-            s, e = b * c, (b + m) * c
-            Kt = K[s:e].reshape(m, c, d).transpose(0, 2, 1)
-            logits = np.matmul(Q[s:e].reshape(m, c, d), Kt, out=buf[: m * c * c].reshape(m, c, c))
+        for s, m, r in steps:
+            e = s + m * r
+            Kt = K[s:e].reshape(m, r, d).transpose(0, 2, 1)
+            logits = np.matmul(Q[s:e].reshape(m, r, d), Kt, out=buf[: m * r * r].reshape(m, r, r))
             logits *= scale
-            _softmax_colsum(logits, out[s:e].reshape(m, c))
-        if full * c < n:
-            s = full * c
-            logits = Q[s:] @ K[s:].T
-            logits *= scale
-            _softmax_colsum(logits, out[s:])
+            _softmax_colsum(logits, out[s:e].reshape(m, r))
     return ScoreVector(out, kind="attention")
 
 

@@ -152,6 +152,8 @@ def fit_calibration(triples, under_penalty: float = 4.0, max_iter: int = 200) ->
     under_penalty : float
         Weight on residuals where the curve over-predicts quality; >= 1.
         1.0 gives the symmetric least-squares fit.
+    max_iter : int
+        Gauss-Newton iterations allowed per start; >= 1.
 
     The lowest-objective converged run wins, ties going to the smaller
     (alpha, beta). If none converges, ConvergenceError carries the model of
@@ -159,6 +161,7 @@ def fit_calibration(triples, under_penalty: float = 4.0, max_iter: int = 200) ->
     """
     triples = list(triples)
     _check_field("under_penalty", under_penalty, "real", "[1.0, inf)")
+    _check_field("max_iter", max_iter, "int", "[1, inf)")
     rs = np.array([t.r for t in triples])
     if rs.size < 2 or np.unique(rs).size < 2:
         raise DegenerateFitError("need at least 2 triples with 2 distinct retention rates")

@@ -411,7 +411,7 @@ class RetentionPlan:
             raise ParameterError(f"metadata must be a mapping (a JSON object), got {type(self.metadata).__name__}")
         try:  # stored as the JSON it saves as, so that a saved plan loads back equal
             metadata = json.loads(_json_text(dict(self.metadata)))
-        except (TypeError, ValueError) as exc:  # a value with no JSON form, or a circular reference
+        except (TypeError, ValueError, RecursionError) as exc:  # no JSON form, a circular reference, or too deep
             raise ParameterError(f"metadata must be a JSON object of JSON values ({exc})") from exc
         layers = tuple(
             tuple(_index_tuple(head, f"layer {l} head {h}") for h, head in enumerate(layer))

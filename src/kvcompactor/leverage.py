@@ -61,7 +61,8 @@ class BasisMethod:
     def __post_init__(self):
         if self.kind not in BASIS_KINDS:
             raise ParameterError(f"unknown basis method {self.kind!r}")
-        _check_field("sigma_clamp", self.sigma_clamp, "real", "(0, 1)")
+        # the Gram routes square the spectrum: below about sqrt(eps) ~ 1.5e-8 they would count roundoff as rank
+        _check_field("sigma_clamp", self.sigma_clamp, "real", "[1e-7, 1)")
 
 
 @dataclass(frozen=True, eq=False)

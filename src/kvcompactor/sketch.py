@@ -68,23 +68,6 @@ def gaussian_sketch(d: int, spec: SketchSpec) -> np.ndarray:
     return _rng(spec.seed).standard_normal((d, k)) / math.sqrt(k)
 
 
-def srht_components(d: int, spec: SketchSpec):
-    """The seeded Rademacher signs (length d_pad) and selected columns of an SRHT.
-
-    Exposed so srht_sketch can be checked against an explicitly
-    materialized transform.
-    """
-    if spec.kind != "srht":
-        raise ParameterError(f"expected an srht spec, got kind={spec.kind!r}")
-    d_pad = next_pow2(d)
-    if spec.target_dim > d_pad:
-        raise ParameterError(f"srht needs k <= d_pad, got k={spec.target_dim} d_pad={d_pad}")
-    rng = _rng(spec.seed)
-    signs = rng.integers(0, 2, size=d_pad).astype(np.float64) * 2.0 - 1.0
-    cols = np.sort(rng.permutation(d_pad)[: spec.target_dim])
-    return signs, cols
-
-
 def _parity(x: np.ndarray) -> np.ndarray:
     """1 where a non-negative integer has an odd number of set bits, else 0."""
     return (np.bitwise_count(x) & 1).astype(x.dtype)  # bitwise_count gives uint8, which 1 - 2 * p would wrap
@@ -96,11 +79,19 @@ def srht_sketch(d: int, spec: SketchSpec) -> np.ndarray:
     D holds the Rademacher signs and H is the unnormalized d_pad x d_pad
     Sylvester Hadamard matrix, H[i, j] = (-1)^popcount(i & j), so only the
     d rows and k columns in use are built: rows past d would only multiply
-    the zero padding of K to d_pad columns.
+    the zero padding of K to d_pad columns. All d_pad signs are drawn
+    before the columns, as if the padding were materialized.
     """
-    signs, cols = srht_components(d, spec)
+    if spec.kind != "srht":
+        raise ParameterError(f"expected an srht spec, got kind={spec.kind!r}")
+    d_pad, k = next_pow2(d), spec.target_dim
+    if k > d_pad:
+        raise ParameterError(f"srht needs k <= d_pad, got k={k} d_pad={d_pad}")
+    rng = _rng(spec.seed)
+    signs = rng.integers(0, 2, size=d_pad).astype(np.float64) * 2.0 - 1.0
+    cols = np.sort(rng.permutation(d_pad)[:k])
     hadamard = 1 - 2 * _parity(np.arange(d)[:, None] & cols)
-    return signs[:d, None] * hadamard * math.sqrt(signs.shape[0] / spec.target_dim)
+    return signs[:d, None] * hadamard * math.sqrt(d_pad / k)
 
 
 _SKETCHES = {"gaussian": gaussian_sketch, "srht": srht_sketch}

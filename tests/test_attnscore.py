@@ -10,8 +10,10 @@ from kvcompactor import (
     EvictionPolicy,
     KVBundle,
     ScoreVector,
+    SketchSpec,
     compress_bundle,
     h2o_scores,
+    head_scores,
     mean_pool,
     noncausal_scores,
     snapkv_scores,
@@ -19,6 +21,7 @@ from kvcompactor import (
 )
 from kvcompactor import attnscore
 from kvcompactor.errors import DataError, ParameterError
+from kvcompactor.kvstore import HeadTensors
 
 
 def dense_softmax(logits):
@@ -258,6 +261,31 @@ class TestFloat32:
     def test_noncausal_copies_neither_input(self, peak_bytes):
         Q, K = (x.astype(np.float32) for x in pair(np.random.default_rng(15), 8192, 128))
         assert peak_bytes(noncausal_scores, Q, K) < Q.nbytes
+
+
+class TestMemoryBudget:
+    """Each kernel stays within the budget of attnscore's module docstring when N leaves a short last block."""
+
+    def test_noncausal_short_last_chunk_shares_the_buffer(self, peak_bytes):
+        # three full float32 chunks of 4 MiB, one per batch, then a short last chunk of 1023 rows in the same buffer
+        Q, K = (x.astype(np.float32) for x in pair(np.random.default_rng(18), 4095, 16))
+        assert peak_bytes(noncausal_scores, Q, K, AttnScoreConfig(chunk_size=1024)) < (4 << 20) + (1 << 20)
+
+    @pytest.mark.parametrize(
+        "fn, cfg", [(h2o_scores, AttnScoreConfig()), (snapkv_scores, AttnScoreConfig(baseline_window=1024))]
+    )
+    def test_causal_block_and_its_mask(self, peak_bytes, fn, cfg):
+        # one float32 block of the whole budget (1024 rows x 1024 keys) and a boolean mask of a quarter of it
+        Q, K = (x.astype(np.float32) for x in pair(np.random.default_rng(19), 1024, 16))
+        assert peak_bytes(fn, Q, K, cfg) < attnscore._LOGITS_BYTES * 5 / 4 + (1 << 19)
+
+    def test_compactor_head_holds_the_larger_term(self, peak_bytes):
+        n, d, k = 4095, 64, 32
+        rng = np.random.default_rng(20)
+        ht = HeadTensors(*(rng.standard_normal((n, d)).astype(np.float32) for _ in range(4)))
+        policy = EvictionPolicy("compactor", 0.5, sketch=SketchSpec("gaussian", k), attn=AttnScoreConfig(chunk_size=1024))
+        leverage, attention = 16 * n * k, max(attnscore._CHUNK_BATCH_BYTES, 1024 * 1024 * 4)
+        assert peak_bytes(head_scores, policy, ht) < max(leverage, attention) + (1 << 20)
 
 
 class TestOverflowingLogits:

@@ -10,7 +10,7 @@ from kvcompactor import AttnScoreConfig, BasisMethod, CalibTriple, CalibrationMo
 from kvcompactor import ScoreVector, SketchSpec, apply_sketch, approx_leverage, blend_scores, calib_value
 from kvcompactor import exact_leverage, fit_calibration, gaussian_sketch, h2o_scores, invert_retention, mean_pool
 from kvcompactor import noncausal_scores, random_eviction, retained_count, snapkv_scores, value_norm_scale
-from kvcompactor.errors import DataError, ParameterError, _check_field
+from kvcompactor.errors import ConvergenceError, DataError, ParameterError, _check_field
 from kvcompactor.harness import SynthProfile, bench_scaling, conditioned_matrix, sample_size, synth_bundle
 from kvcompactor.harness import verify_spectral, verify_thm2
 
@@ -18,6 +18,15 @@ _MODEL = CalibrationModel(alpha=0.2, beta=1.0)
 _SCORES = ScoreVector(np.arange(1.0, 6.0), kind="attention")
 _POLICY = EvictionPolicy(kind="compactor", retention=0.5, sketch=SketchSpec(kind="gaussian", target_dim=2))
 _TRIPLES = [CalibTriple(r, nll, calib_value(r, nll, _MODEL)) for r in (0.3, 0.5, 0.7) for nll in (1.0, 2.0)]
+
+
+def _fit_iterations(max_iter):
+    """fit_calibration of _TRIPLES in max_iter iterations; running out of them is a result here, not a domain error."""
+    try:
+        return fit_calibration(_TRIPLES, max_iter=max_iter)
+    except ConvergenceError as exc:
+        return exc.model
+
 
 # (argument's name in the message, kind, interval, error, call with the argument set to v)
 SCALARS = {
@@ -42,7 +51,8 @@ SCALARS = {
     "fit.under_penalty": (
         "under_penalty", "real", "[1.0, inf)", ParameterError, lambda v: fit_calibration(_TRIPLES, under_penalty=v)
     ),
-    "basis.sigma_clamp": ("sigma_clamp", "real", "(0, 1)", ParameterError, lambda v: BasisMethod(sigma_clamp=v)),
+    "fit.max_iter": ("max_iter", "int", "[1, inf)", ParameterError, _fit_iterations),
+    "basis.sigma_clamp": ("sigma_clamp", "real", "[1e-7, 1)", ParameterError, lambda v: BasisMethod(sigma_clamp=v)),
     "sketch.target_dim": ("target_dim", "int", "[1, inf)", ParameterError, lambda v: SketchSpec("srht", v)),
     "sketch.seed": ("sketch seed", "int", "[0, inf)", ParameterError, lambda v: SketchSpec("srht", 4, seed=v)),
     "gaussian_sketch.d": (

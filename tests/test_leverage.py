@@ -218,6 +218,22 @@ class TestRowBasis:
             assert res.effective_rank == 7, method
             assert abs(res.scores.scores.sum() - 7) < 1e-9, method
 
+    @pytest.mark.parametrize("clamp", [1e-7, 1e-6])
+    @pytest.mark.parametrize("method", BASIS_KINDS)
+    def test_zero_column_of_tiny_keys(self, method, clamp):
+        # keys of scale 1e-5: a clamp below roundoff once counted the zero column as rank, or raised under eig_gram
+        K = np.random.default_rng(6).standard_normal((64, 8)) * 1e-5
+        K[:, 3] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = exact_leverage(K, BasisMethod(method, sigma_clamp=clamp))
+        assert res.effective_rank == 7
+        assert abs(res.scores.scores.sum() - 7) < 1e-9
+
+    def test_clamp_below_roundoff_rejected(self):
+        with pytest.raises(ParameterError, match=r"^sigma_clamp must be in \[1e-7, 1\), got 1e-08"):
+            BasisMethod(sigma_clamp=1e-8)
+
     @pytest.mark.parametrize("method", BASIS_KINDS)
     def test_rank_one_outer_product(self, method):
         # one direction above the floor and seven far below it: the clamped ones add almost nothing

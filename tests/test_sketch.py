@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from kvcompactor import SketchSpec, apply_sketch, gaussian_sketch
+from kvcompactor import SketchSpec, apply_sketch, gaussian_sketch, sketch
 from kvcompactor.errors import ParameterError
-from kvcompactor.sketch import _parity, next_pow2, srht_components, srht_sketch
+from kvcompactor.sketch import _parity, next_pow2, srht_sketch
 
 
 def sylvester_hadamard(n):
@@ -64,8 +64,11 @@ class TestSrht:
         for d, k, seed in [(64, 16, 0), (48, 32, 1), (5, 8, 2), (1, 1, 3), (128, 64, 4), (100, 128, 5)]:
             K = rng.standard_normal((9, d))
             spec = SketchSpec("srht", k, seed=seed)
-            signs, cols = srht_components(d, spec)
-            d_pad = signs.shape[0]
+            # the library's draws, in its order: d_pad Rademacher signs, then k sorted columns of a permutation
+            d_pad = next_pow2(d)
+            rng = sketch._rng(spec.seed)
+            signs = rng.integers(0, 2, size=d_pad) * 2.0 - 1.0
+            cols = np.sort(rng.permutation(d_pad)[:k])
             phi = (np.diag(signs) @ sylvester_hadamard(d_pad))[:, cols] * np.sqrt(d_pad / k)
             assert np.array_equal(srht_sketch(d, spec), phi[:d])
             padded = np.zeros((9, d_pad))
