@@ -202,7 +202,7 @@ def mean_pool(scores: ScoreVector, window: int) -> ScoreVector:
         return scores
     v = scores.scores
     n = v.shape[0]
-    half = window // 2
+    half = min(window // 2, n)  # any half >= n averages the whole vector; the clamp keeps a huge window in int64
     csum = np.concatenate(([0.0], np.cumsum(v)))
     lo = np.maximum(np.arange(n) - half, 0)
     hi = np.minimum(np.arange(n) + half + 1, n)

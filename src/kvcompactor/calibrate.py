@@ -69,8 +69,8 @@ class CalibrationModel:
         _check_field("alpha", self.alpha, "real")
         _check_field("beta", self.beta, "real")
         _check_field("k_min", self.k_min, "real", "(0, inf)")
-        _check_field("fit_rmse", self.fit_rmse, "real")
-        _check_field("n_points", self.n_points, "int")
+        _check_field("fit_rmse", self.fit_rmse, "real", "[0, inf)")
+        _check_field("n_points", self.n_points, "int", "[0, inf)")
 
 
 def _steepness(nll_c: float, model: CalibrationModel) -> float:
@@ -186,27 +186,31 @@ def _csv_rows(path, header: tuple, make, exact: bool) -> list:
 
     With `exact`, the header and every row have exactly those fields. Names
     are compared unpadded and blank lines are skipped. A bad header, width or
-    number is a FormatError and a value `make` rejects a DataError, each naming its line.
+    number, or a line csv cannot parse, is a FormatError and a value `make`
+    rejects a DataError, each naming its line.
     """
     out, width = [], len(header)
     with _naming(path), open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        names = [name.strip() for name in next(reader, [])]
-        if (names if exact else names[:width]) != list(header):
-            raise FormatError(f"line 1: expected header {','.join(header)}, got {','.join(names)!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) < 2 and not "".join(row).strip():
-                continue
-            if exact and len(row) != width:
-                raise FormatError(f"line {lineno}: expected {width} fields, got {len(row)}")
-            try:
-                values = [float(x) for x in row[:width]]
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: {exc}") from exc
-            try:
-                out.append(make(*values))
-            except DataError as exc:
-                raise DataError(f"line {lineno}: {exc}") from exc
+        try:
+            names = [name.strip() for name in next(reader, [])]
+            if (names if exact else names[:width]) != list(header):
+                raise FormatError(f"line 1: expected header {','.join(header)}, got {','.join(names)!r}")
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) < 2 and not "".join(row).strip():
+                    continue
+                if exact and len(row) != width:
+                    raise FormatError(f"line {lineno}: expected {width} fields, got {len(row)}")
+                try:
+                    values = [float(x) for x in row[:width]]
+                except ValueError as exc:
+                    raise FormatError(f"line {lineno}: {exc}") from exc
+                try:
+                    out.append(make(*values))
+                except DataError as exc:
+                    raise DataError(f"line {lineno}: {exc}") from exc
+        except csv.Error as exc:  # a NUL byte, or a field over csv's size limit
+            raise FormatError(f"line {reader.line_num}: {exc}") from exc
     return out
 
 

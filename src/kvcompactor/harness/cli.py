@@ -1,9 +1,8 @@
 """Command-line front end.
 
 Subcommands: synth, score, evict, apply, calib fit, calib plan,
-verify thm1, verify thm2, bench, sweep. Every flag is mirrored by an
-environment variable named KVC_<FLAG> (dashes become underscores), with
-command-line values taking precedence.
+verify thm1, verify thm2, bench, sweep. Every argument comes from the
+command line; no environment variable is read.
 
 Exit codes: 0 success, 2 input error, 3 for verification runs (their
 reports are data, not assertions, so the code flags "report emitted"
@@ -11,7 +10,6 @@ regardless of the observed pass rate).
 """
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from functools import partial
@@ -31,25 +29,12 @@ EXIT_INPUT = 2
 EXIT_REPORT = 3
 
 
-def _env(flag: str, fallback=None):
-    return os.environ.get("KVC_" + flag.upper().replace("-", "_"), fallback)
-
-
-def _add(parser, flag, **kwargs):
-    """parser.add_argument with the KVC_* environment mirror as default."""
-    env_value = _env(flag)
-    if env_value is not None:
-        kwargs["default"] = env_value
-        kwargs.pop("required", None)
-    parser.add_argument("--" + flag, **kwargs)
-
-
 def _ints(text: str):
-    return [int(x) for x in str(text).split(",") if x != ""]
+    return [int(x) for x in text.split(",") if x != ""]
 
 
 def _floats(text: str):
-    return [float(x) for x in str(text).split(",") if x != ""]
+    return [float(x) for x in text.split(",") if x != ""]
 
 
 def _load_policy(path) -> EvictionPolicy:
@@ -88,7 +73,7 @@ def _cmd_evict(args):
     bundle = load_bundle(args.bundle)
     policy = _load_policy(args.policy)
     if args.retention is not None:
-        policy = replace(policy, retention=float(args.retention))
+        policy = replace(policy, retention=args.retention)
     plan = compress_bundle(bundle, policy)
     save_plan(plan, args.out)
     kept = sum(len(head) for layer in plan.retained for head in layer)
@@ -127,8 +112,6 @@ def _cmd_calib_plan(args):
         report.write_csv(args.out, rows, ["nll_c", "r_star"])
         print(f"wrote {args.out}: {len(rows)} retention rates")
         return EXIT_OK
-    if args.nll is None:
-        raise CompactorError("need --nll or --queries")
     r_star = calibrate.invert_retention(args.nll, args.tau, model)
     print(f"{r_star:.12g}")
     return EXIT_OK
@@ -192,7 +175,7 @@ def _cmd_bench(args):
 
 def _cmd_sweep(args):
     bundle = load_bundle(args.bundle)
-    policies = [_load_policy(p) for p in str(args.policies).split(",") if p]
+    policies = [_load_policy(p) for p in args.policies.split(",") if p]
     rows = sweep_policies(bundle, policies, args.rs, needle_indices=args.needles)
     report.write_csv(args.out, rows)
     print(f"wrote {args.out}: {len(rows)} rows")
@@ -204,92 +187,94 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic KVT1 bundle")
-    _add(p, "profile", choices=["gaussian_iid", "low_rank_plus_noise", "needle", "clustered"], required=True)
-    _add(p, "n", type=int, required=True)
-    _add(p, "d", type=int, required=True)
-    _add(p, "rank", type=int, default=0)
-    _add(p, "needle-count", type=int, default=1, dest="needle_count")
-    _add(p, "noise-sigma", type=float, default=0.0, dest="noise_sigma")
-    _add(p, "layers", type=int, default=1)
-    _add(p, "heads", type=int, default=1)
-    _add(p, "seed", type=int, default=0)
-    _add(p, "out", required=True)
+    p.add_argument("--profile", choices=["gaussian_iid", "low_rank_plus_noise", "needle", "clustered"], required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--rank", type=int, default=0)
+    p.add_argument("--needle-count", type=int, default=1)
+    p.add_argument("--noise-sigma", type=float, default=0.0)
+    p.add_argument("--layers", type=int, default=1)
+    p.add_argument("--heads", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("score", help="per-token scores for a bundle under a policy")
-    _add(p, "bundle", required=True)
-    _add(p, "policy", required=True)
-    _add(p, "out", required=True)
+    p.add_argument("--bundle", required=True)
+    p.add_argument("--policy", required=True)
+    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("evict", help="compute a retention plan for a bundle")
-    _add(p, "bundle", required=True)
-    _add(p, "policy", required=True)
-    _add(p, "retention", type=float, default=None)
-    _add(p, "out", required=True)
+    p.add_argument("--bundle", required=True)
+    p.add_argument("--policy", required=True)
+    p.add_argument("--retention", type=float)
+    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_evict)
 
     p = sub.add_parser("apply", help="apply a retention plan to a bundle")
-    _add(p, "bundle", required=True)
-    _add(p, "plan", required=True)
-    _add(p, "out", required=True)
+    p.add_argument("--bundle", required=True)
+    p.add_argument("--plan", required=True)
+    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_apply)
 
     calib = sub.add_parser("calib", help="calibration curve fitting and inversion")
     calib_sub = calib.add_subparsers(dest="calib_command", required=True)
     p = calib_sub.add_parser("fit", help="fit the quality curve to training triples")
-    _add(p, "triples", required=True)
-    _add(p, "under-penalty", type=float, default=4.0, dest="under_penalty")
-    _add(p, "out", required=True)
+    p.add_argument("--triples", required=True)
+    p.add_argument("--under-penalty", type=float, default=4.0)
+    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_calib_fit)
     p = calib_sub.add_parser("plan", help="invert the curve at a quality budget")
-    _add(p, "model", required=True)
-    _add(p, "nll", type=float, default=None)
-    _add(p, "tau", type=float, default=0.95)
-    _add(p, "queries", default=None)
-    _add(p, "out", default=None)
+    p.add_argument("--model", required=True)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--nll", type=float)
+    source.add_argument("--queries")
+    p.add_argument("--tau", type=float, default=0.95)
+    p.add_argument("--out")
     p.set_defaults(func=_cmd_calib_plan)
 
     verify = sub.add_parser("verify", help="empirical bound verification (exit code 3)")
     verify_sub = verify.add_subparsers(dest="verify_command", required=True)
     p = verify_sub.add_parser("thm1", help="spectral sandwich under leverage sampling")
-    _add(p, "n", type=int, default=2000)
-    _add(p, "d", type=int, default=16)
-    _add(p, "epsilon", type=float, default=0.5)
-    _add(p, "delta", type=float, default=0.1)
-    _add(p, "trials", type=int, default=50)
-    _add(p, "k", type=int, default=None, help="sample size; one run in place of one per --c-values entry")
-    _add(p, "c-values", type=_floats, default=[1.0, 2.0, 4.0, 8.0], dest="c_values")
-    _add(p, "seed", type=int, default=0)
-    _add(p, "out", required=True)
+    p.add_argument("--n", type=int, default=2000)
+    p.add_argument("--d", type=int, default=16)
+    p.add_argument("--epsilon", type=float, default=0.5)
+    p.add_argument("--delta", type=float, default=0.1)
+    p.add_argument("--trials", type=int, default=50)
+    size = p.add_mutually_exclusive_group()
+    size.add_argument("--k", type=int, help="sample size; one run in place of one per --c-values entry")
+    size.add_argument("--c-values", type=_floats, default=[1.0, 2.0, 4.0, 8.0])
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_verify_thm1)
     p = verify_sub.add_parser("thm2", help="approximate-leverage sandwich")
-    _add(p, "n", type=int, default=1024)
-    _add(p, "d", type=int, default=64)
-    _add(p, "k", type=int, default=64)
-    _add(p, "kappa", type=float, default=2.0)
-    _add(p, "trials", type=int, default=100)
-    _add(p, "target-epsilon", type=float, default=None, dest="target_epsilon")
-    _add(p, "seed", type=int, default=0)
-    _add(p, "out", required=True)
+    p.add_argument("--n", type=int, default=1024)
+    p.add_argument("--d", type=int, default=64)
+    p.add_argument("--k", type=int, default=64)
+    p.add_argument("--kappa", type=float, default=2.0)
+    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--target-epsilon", type=float)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_verify_thm2)
 
     p = sub.add_parser("bench", help="scoring+selection wall-clock scaling")
-    _add(p, "policy", required=True)
-    _add(p, "ns", type=_ints, required=True)
-    _add(p, "repeats", type=int, default=9)
-    _add(p, "warmup", type=int, default=2)
-    _add(p, "d", type=int, default=64)
-    _add(p, "seed", type=int, default=0)
-    _add(p, "out", required=True)
+    p.add_argument("--policy", required=True)
+    p.add_argument("--ns", type=_ints, required=True)
+    p.add_argument("--repeats", type=int, default=9)
+    p.add_argument("--warmup", type=int, default=2)
+    p.add_argument("--d", type=int, default=64)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("sweep", help="policy comparison sweep on a bundle")
-    _add(p, "bundle", required=True)
-    _add(p, "policies", required=True, help="comma-separated policy JSON paths")
-    _add(p, "rs", type=_floats, required=True)
-    _add(p, "needles", type=_ints, default=None, help="comma-separated planted token positions (fills needle_retained)")
-    _add(p, "out", required=True)
+    p.add_argument("--bundle", required=True)
+    p.add_argument("--policies", required=True, help="comma-separated policy JSON paths")
+    p.add_argument("--rs", type=_floats, required=True)
+    p.add_argument("--needles", type=_ints, help="comma-separated planted token positions (fills needle_retained)")
+    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 
     return parser

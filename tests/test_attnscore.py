@@ -327,6 +327,12 @@ class TestMeanPool:
         with pytest.raises(ParameterError):
             mean_pool(ScoreVector([1.0, 2.0], "attention"), 2)
 
+    @pytest.mark.parametrize("window", [9, 2**64 + 1, 2**1100 + 1], ids=["2n+1", "2**64+1", "2**1100+1"])
+    def test_window_past_the_vector_averages_it(self, window):
+        # a window this wide once overflowed int64 in the index arithmetic
+        got = mean_pool(ScoreVector([1.0, 2.0, 6.0, 3.0], "attention"), window).scores
+        assert np.array_equal(got, np.full(4, 3.0))
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 40), st.integers(0, 5), st.integers(0, 2**16))
     def test_length_preserved(self, n, half, seed):

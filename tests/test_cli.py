@@ -321,8 +321,19 @@ class TestCalibCli:
         triples = self.make_triples(tmp_path / "t.csv")
         model_path = tmp_path / "m.json"
         run(capsys, "calib", "fit", "--triples", triples, "--out", model_path)
-        code, _, _ = run(capsys, "calib", "plan", "--model", model_path)
-        assert code == 2
+        with pytest.raises(SystemExit) as info:
+            run(capsys, "calib", "plan", "--model", model_path)
+        assert info.value.code == 2
+
+    def test_plan_takes_nll_or_queries_not_both(self, tmp_path, capsys):
+        model_path, queries, result = tmp_path / "m.json", tmp_path / "q.csv", tmp_path / "r.csv"
+        run(capsys, "calib", "fit", "--triples", self.make_triples(tmp_path / "t.csv"), "--out", model_path)
+        queries.write_text("nll_c\n0.5\n")
+        with pytest.raises(SystemExit) as info:
+            run(capsys, "calib", "plan", "--model", model_path, "--nll", 2, "--queries", queries, "--out", result)
+        assert info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not result.exists()
 
     def test_plan_queries_needs_out(self, tmp_path, capsys):
         model_path = tmp_path / "m.json"
@@ -386,6 +397,22 @@ class TestCalibCli:
         assert code == 2 and err.startswith("error:") and f"{bad}: not UTF-8" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "plan"])
+    def test_csv_field_over_limit_is_format_error(self, tmp_path, capsys, command):
+        # csv refuses a field over its size limit; the error names the file and the line, with no traceback
+        model_path, big, out = tmp_path / "m.json", tmp_path / "big.csv", tmp_path / "out"
+        run(capsys, "calib", "fit", "--triples", self.make_triples(tmp_path / "t.csv"), "--out", model_path)
+        if command == "fit":
+            big.write_text("r,nll_c,y\n" + "1" * 200_000 + ",1,1\n")
+            argv = ["calib", "fit", "--triples", big, "--out", out]
+        else:
+            big.write_text("nll_c\n" + "1" * 200_000 + "\n")
+            argv = ["calib", "plan", "--model", model_path, "--queries", big, "--out", out]
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"error: {big}: line 2: field larger than field limit")
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["nll_c\n", "nll_c\n0.5\n"], ids=["header_only", "one_row"])
     def test_plan_queries_tau_checked_before_rows(self, tmp_path, capsys, text):
         model_path, queries, result = tmp_path / "m.json", tmp_path / "q.csv", tmp_path / "r.csv"
@@ -433,6 +460,14 @@ class TestVerifyCli:
         rows = read_rows(out)
         assert [(row["c"], row["k"]) for row in rows] == [("", "40")]
         assert stdout.count("success_rate") == 1
+
+    def test_thm1_k_excludes_c_values(self, tmp_path, capsys):
+        out = tmp_path / "thm1.csv"
+        with pytest.raises(SystemExit) as info:
+            run(capsys, "verify", "thm1", "--n", 200, "--d", 8, "--k", 40, "--c-values", "1,4", "--out", out)
+        assert info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_thm2_exit_three(self, tmp_path, capsys):
         out = tmp_path / "thm2.csv"
@@ -519,23 +554,48 @@ class TestBenchSweepCli:
         assert code == 2 and stdout == "" and err == "error: seed must be >= 0, got -1\n"
         assert not (tmp_path / "bench.csv").exists()
 
-    def test_retired_backend_mirror_ignored(self, tmp_path):
-        # every flag is mirrored by KVC_<FLAG>; the mirror of the retired bench
-        # flag "backend", left set to its old value "both", must stay inert
+    def test_retired_backend_mirror_ignored(self, tmp_path, capsys, bundle_path):
+        # kvc reads no environment variable: neither the retired bench flag "backend"'s
+        # old mirror nor any of the KVC_<FLAG> names that once set a flag changes a run
         policy = write_policy(tmp_path / "p.json", kind="compactor", retention=0.5)
         out = tmp_path / "bench.csv"
         src = str(Path(kvcompactor.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         env[f"KVC_{'backend'.upper()}"] = "both"
+        former = {
+            "PROFILE": "needle", "N": "64", "D": "8", "RANK": "2", "NEEDLE_COUNT": "3", "NOISE_SIGMA": "0.5",
+            "LAYERS": "2", "HEADS": "2", "SEED": "6", "OUT": bundle_path, "BUNDLE": bundle_path, "POLICY": policy,
+            "RETENTION": "0.1", "PLAN": bundle_path, "TRIPLES": bundle_path, "UNDER_PENALTY": "2", "MODEL": policy,
+            "NLL": "2", "TAU": "0.5", "QUERIES": bundle_path, "EPSILON": "0.3", "DELTA": "0.2", "TRIALS": "2",
+            "K": "64", "C_VALUES": "1", "KAPPA": "3", "TARGET_EPSILON": "0.5", "NS": "64", "REPEATS": "2",
+            "WARMUP": "1", "POLICIES": policy, "RS": "0.5", "NEEDLES": "1",
+        }
+        assert len(former) == 33
+        env.update({f"KVC_{name}": str(value) for name, value in former.items()})
+
+        def kvc(*argv):
+            cmd = [sys.executable, "-m", "kvcompactor.harness.cli", *map(str, argv)]
+            return subprocess.run(cmd, env=env, capture_output=True, text=True)
+
         imported = subprocess.run([sys.executable, "-c", "import kvcompactor"], env=env, capture_output=True, text=True)
         assert imported.returncode == 0, imported.stderr
-        bench = subprocess.run(
-            [sys.executable, "-m", "kvcompactor.harness.cli", "bench", "--policy", str(policy), "--ns", "128",
-             "--repeats", "1", "--warmup", "0", "--d", "8", "--out", str(out)],
-            env=env, capture_output=True, text=True,
-        )
+        bench = kvc("bench", "--policy", policy, "--ns", 128, "--repeats", 1, "--warmup", 0, "--d", 8, "--out", out)
         assert bench.returncode == 0, bench.stderr
         assert [row["n"] for row in read_rows(out)] == ["128"]
+
+        # a forgotten --out is a usage error, not a plan written over the file KVC_OUT names
+        bundle_bytes = bundle_path.read_bytes()
+        evict = kvc("evict", "--bundle", bundle_path, "--policy", policy)
+        assert evict.returncode == 2 and "--out" in evict.stderr
+        assert bundle_path.read_bytes() == bundle_bytes
+
+        # KVC_K (and KVC_C_VALUES, KVC_SEED, ...) leave thm1's four c-value runs as a clean environment makes them
+        mirrored, clean = tmp_path / "env.csv", tmp_path / "clean.csv"
+        thm1 = ("verify", "thm1", "--n", 200, "--d", 4, "--trials", 3, "--out")
+        assert kvc(*thm1, mirrored).returncode == 3
+        assert run(capsys, *thm1, clean)[0] == 3
+        assert [row["c"] for row in read_rows(mirrored)] == ["1.0", "2.0", "4.0", "8.0"]
+        assert mirrored.read_bytes() == clean.read_bytes()
 
     def test_sweep_csv(self, tmp_path, capsys, bundle_path):
         p1 = write_policy(tmp_path / "p1.json", kind="compactor")
@@ -555,7 +615,7 @@ class TestBenchSweepCli:
             assert run(capsys, "sweep", "--bundle", bundle_path, "--policies", policy, "--rs", "0.2", "--out", out)[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_sweep_needles_fill_column(self, tmp_path, capsys, monkeypatch):
+    def test_sweep_needles_fill_column(self, tmp_path, capsys):
         from kvcompactor import load_bundle
         from kvcompactor.evict import EvictionPolicy
         from kvcompactor.harness import sweep_policies
@@ -575,28 +635,14 @@ class TestBenchSweepCli:
             [0.05, 0.5],
             needle_indices=needles,
         )
-        flagged, mirrored, plain = tmp_path / "flag.csv", tmp_path / "env.csv", tmp_path / "plain.csv"
+        flagged, plain = tmp_path / "flag.csv", tmp_path / "plain.csv"
         assert run(capsys, *argv, "--needles", ",".join(map(str, needles)), "--out", flagged)[0] == 0
         assert run(capsys, *argv, "--out", plain)[0] == 0
-        monkeypatch.setenv("KVC_NEEDLES", ",".join(map(str, needles)))
-        assert run(capsys, *argv, "--out", mirrored)[0] == 0
 
         column = [row["needle_retained"] for row in read_rows(flagged)]
         assert column == [str(row["needle_retained"]) for row in expected]
         assert set(column) == {"0", "1"}
-        assert mirrored.read_bytes() == flagged.read_bytes()
         assert {row["needle_retained"] for row in read_rows(plain)} == {""}
-
-    def test_needle_count_mirror_leaves_sweep_needles_blank(self, tmp_path, capsys, monkeypatch):
-        # synth's needle count and sweep's needle positions have separate mirrors
-        monkeypatch.setenv("KVC_NEEDLE_COUNT", "3")
-        path, sweep_csv = tmp_path / "b.kvt", tmp_path / "s.csv"
-        code, out, _ = run(capsys, "synth", "--profile", "needle", "--n", 100, "--d", 16, "--out", path)
-        assert code == 0
-        assert len(json.loads(out.split("planted needles at ", 1)[1].splitlines()[0])) == 3
-        policy = write_policy(tmp_path / "p.json", kind="compactor")
-        assert run(capsys, "sweep", "--bundle", path, "--policies", policy, "--rs", "0.5", "--out", sweep_csv)[0] == 0
-        assert {row["needle_retained"] for row in read_rows(sweep_csv)} == {""}
 
     def test_sweep_needle_out_of_range(self, tmp_path, capsys, bundle_path):
         policy = write_policy(tmp_path / "p.json", kind="random")
@@ -604,13 +650,3 @@ class TestBenchSweepCli:
         code, _, err = run(capsys, *argv, "--out", tmp_path / "s.csv")
         assert code == 2
         assert "needle positions must lie in [0, 120)" in err
-
-    def test_env_var_mirror(self, tmp_path, capsys, monkeypatch):
-        flagged = tmp_path / "flagged.kvt"
-        run(capsys, "synth", "--profile", "gaussian_iid", "--n", 32, "--d", 8, "--seed", 6, "--out", flagged)
-        from_env = tmp_path / "env.kvt"
-        monkeypatch.setenv("KVC_SEED", "6")
-        monkeypatch.setenv("KVC_N", "32")
-        code, _, _ = run(capsys, "synth", "--profile", "gaussian_iid", "--d", 8, "--out", from_env)
-        assert code == 0
-        assert flagged.read_bytes() == from_env.read_bytes()

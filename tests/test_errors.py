@@ -45,6 +45,10 @@ SCALARS = {
     "triple.y": ("y", "real", "(0, inf)", DataError, lambda v: CalibTriple(0.5, 1.0, v)),
     "model.alpha": ("alpha", "real", None, ParameterError, lambda v: CalibrationModel(v, 1.0)),
     "model.k_min": ("k_min", "real", "(0, inf)", ParameterError, lambda v: CalibrationModel(0.2, 1.0, k_min=v)),
+    "model.fit_rmse": (
+        "fit_rmse", "real", "[0, inf)", ParameterError, lambda v: CalibrationModel(0.2, 1.0, fit_rmse=v)
+    ),
+    "model.n_points": ("n_points", "int", "[0, inf)", ParameterError, lambda v: CalibrationModel(0.2, 1.0, n_points=v)),
     "calib_value.r": ("r", "real", "[0, 1]", ParameterError, lambda v: calib_value(v, 1.0, _MODEL)),
     "calib_value.nll_c": ("nll_c", "real", "[0, inf)", ParameterError, lambda v: calib_value(0.5, v, _MODEL)),
     "invert_retention.tau": ("tau", "real", "(0, 1]", ParameterError, lambda v: invert_retention(1.0, v, _MODEL)),
