@@ -140,7 +140,7 @@ def _causal_scores(Q, K, cfg: AttnScoreConfig, start: int) -> ScoreVector:
             logits *= scale
             np.copyto(logits[:, s:], -np.inf, where=upper[: e - s, : e - s])
             _softmax_colsum(logits, out[:e])
-    return ScoreVector(out, kind="baseline")
+    return ScoreVector(out)
 
 
 def noncausal_scores(Q: np.ndarray, K: np.ndarray, cfg: AttnScoreConfig = AttnScoreConfig()) -> ScoreVector:
@@ -169,7 +169,7 @@ def noncausal_scores(Q: np.ndarray, K: np.ndarray, cfg: AttnScoreConfig = AttnSc
             logits = np.matmul(Q[s:e].reshape(m, r, d), Kt, out=buf[: m * r * r].reshape(m, r, r))
             logits *= scale
             _softmax_colsum(logits, out[s:e].reshape(m, r))
-    return ScoreVector(out, kind="attention")
+    return ScoreVector(out)
 
 
 def h2o_scores(Q: np.ndarray, K: np.ndarray, cfg: AttnScoreConfig = AttnScoreConfig()) -> ScoreVector:
@@ -206,7 +206,7 @@ def mean_pool(scores: ScoreVector, window: int) -> ScoreVector:
     csum = np.concatenate(([0.0], np.cumsum(v)))
     lo = np.maximum(np.arange(n) - half, 0)
     hi = np.minimum(np.arange(n) + half + 1, n)
-    return ScoreVector((csum[hi] - csum[lo]) / (hi - lo), kind=scores.kind)
+    return ScoreVector((csum[hi] - csum[lo]) / (hi - lo))
 
 
 def value_norm_scale(scores: ScoreVector, V: np.ndarray) -> ScoreVector:
@@ -215,4 +215,4 @@ def value_norm_scale(scores: ScoreVector, V: np.ndarray) -> ScoreVector:
     if V.shape[0] != len(scores):
         raise ParameterError(f"values shape {V.shape} does not match {len(scores)} scores")
     norms = np.sqrt(np.einsum("ij,ij->i", V, V, dtype=np.float64))
-    return ScoreVector(scores.scores * norms, kind=scores.kind)
+    return ScoreVector(scores.scores * norms)

@@ -84,7 +84,7 @@ def blend_scores(a: ScoreVector, o: ScoreVector, lam: float) -> ScoreVector:
     if len(a) != len(o):
         raise ParameterError(f"score lengths differ: {len(a)} vs {len(o)}")
     _check_field("lambda", lam, "real")
-    return ScoreVector(_zscore(a.scores) + lam * _zscore(o.scores), kind="blended")
+    return ScoreVector(_zscore(a.scores) + lam * _zscore(o.scores))
 
 
 def select_topk(s, r: float) -> np.ndarray:

@@ -54,8 +54,6 @@ _LAYOUT = (("keys_prerope", _FLAG_PREROPE), ("keys", 0), ("values", 0), ("querie
 _SPAN_BYTES = 1 << 20  # most payload bytes load_bundle reads before it tests them for finiteness
 PLAN_VERSION = 1
 
-SCORE_KINDS = ("outlier", "attention", "blended", "baseline")
-
 
 def retained_count(r: float, n: int) -> int:
     """Tokens kept at retention rate ``r`` out of ``n``: max(1, ceil(r*n)).
@@ -82,10 +80,9 @@ def _rates(value, error):
 
 @dataclass(frozen=True, eq=False)
 class ScoreVector:
-    """Length-N importance scores for one head."""
+    """Length-N importance scores for one head, made a float64 vector and checked non-empty, 1-D and finite."""
 
     scores: np.ndarray
-    kind: str
 
     def __post_init__(self):
         arr = np.asarray(self.scores, dtype=np.float64)
@@ -93,8 +90,6 @@ class ScoreVector:
             raise ParameterError("scores must be a non-empty 1-D vector")
         if not _finite(arr):
             raise DataError("scores contain non-finite values")
-        if self.kind not in SCORE_KINDS:
-            raise ParameterError(f"unknown score kind {self.kind!r}")
         object.__setattr__(self, "scores", arr)
 
     def __len__(self):

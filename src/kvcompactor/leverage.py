@@ -102,11 +102,11 @@ def approx_leverage(
             v = v[:, ::-1]
         sigma = np.sqrt(np.clip(sq, 0.0, None))
     if sigma[0] == 0.0:  # an all-zero sketch
-        return LeverageResult(scores=ScoreVector(np.zeros(khat.shape[0]), kind="outlier"), effective_rank=0)
+        return LeverageResult(scores=ScoreVector(np.zeros(khat.shape[0])), effective_rank=0)
     floor = method.sigma_clamp * sigma[0]
     u = khat @ (v / np.maximum(sigma, floor))
     ell = np.einsum("ij,ij->i", u, u)
-    return LeverageResult(scores=ScoreVector(ell, kind="outlier"), effective_rank=int((sigma > floor).sum()))
+    return LeverageResult(scores=ScoreVector(ell), effective_rank=int((sigma > floor).sum()))
 
 
 def exact_leverage(K: np.ndarray, method: BasisMethod = BasisMethod()) -> LeverageResult:

@@ -1,7 +1,9 @@
+import contextlib
 import mmap
 import threading
 import tracemalloc
 import types
+import warnings
 import weakref
 from pathlib import Path
 
@@ -14,6 +16,14 @@ from kvcompactor import attnscore
 # package's fixed-seed reproducibility contract
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
+
+# hypothesis imports this module (and libcst through it) when a property test
+# fails; libcst then raises a DeprecationWarning that the error filter turns
+# into an INTERNALERROR ending the session, so import it once here (without
+# libcst, hypothesis skips the import too)
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 _TESTS = Path(__file__).parent
 _LEAK_FILTERS = ("error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")

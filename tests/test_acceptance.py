@@ -163,13 +163,13 @@ def test_c08_blending_and_selection_arithmetic():
         rng = np.random.default_rng(8)
         for _ in range(100):
             n = int(rng.integers(4, 64))
-            a = ScoreVector(rng.standard_normal(n), "attention")
-            o = ScoreVector(rng.standard_normal(n), "outlier")
+            a = ScoreVector(rng.standard_normal(n))
+            o = ScoreVector(rng.standard_normal(n))
             base = select_topk(blend_scores(a, o, 0.3), 0.5)
             scaled = select_topk(
                 blend_scores(
-                    ScoreVector(3.0 * a.scores + 11.0, "attention"),
-                    ScoreVector(0.5 * o.scores - 4.0, "outlier"),
+                    ScoreVector(3.0 * a.scores + 11.0),
+                    ScoreVector(0.5 * o.scores - 4.0),
                     0.3,
                 ),
                 0.5,

@@ -72,7 +72,6 @@ class TestNonCausal:
     def test_uniform_two_tokens(self):
         s = noncausal_scores(np.zeros((2, 1)), np.zeros((2, 1)), AttnScoreConfig(chunk_size=2, scale=1.0))
         assert np.allclose(s.scores, [1.0, 1.0])
-        assert s.kind == "attention"
 
     def test_chunk_mass_equals_chunk_length(self):
         Q, K = pair(np.random.default_rng(0), 100, 8)
@@ -314,58 +313,58 @@ class TestOverflowingLogits:
 
 class TestMeanPool:
     def test_window_one_identity(self):
-        s = ScoreVector([1.0, 2.0, 3.0], "attention")
+        s = ScoreVector([1.0, 2.0, 3.0])
         assert mean_pool(s, 1) is s
 
     def test_edge_truncation(self):
-        got = mean_pool(ScoreVector([0.0, 3.0, 0.0], "attention"), 3).scores
+        got = mean_pool(ScoreVector([0.0, 3.0, 0.0]), 3).scores
         assert np.allclose(got, [1.5, 1.0, 1.5])
-        got = mean_pool(ScoreVector([1.0, 2.0, 3.0, 4.0, 5.0], "attention"), 3).scores
+        got = mean_pool(ScoreVector([1.0, 2.0, 3.0, 4.0, 5.0]), 3).scores
         assert np.allclose(got, [1.5, 2.0, 3.0, 4.0, 4.5])
 
     def test_even_window_rejected(self):
         with pytest.raises(ParameterError):
-            mean_pool(ScoreVector([1.0, 2.0], "attention"), 2)
+            mean_pool(ScoreVector([1.0, 2.0]), 2)
 
     @pytest.mark.parametrize("window", [9, 2**64 + 1, 2**1100 + 1], ids=["2n+1", "2**64+1", "2**1100+1"])
     def test_window_past_the_vector_averages_it(self, window):
         # a window this wide once overflowed int64 in the index arithmetic
-        got = mean_pool(ScoreVector([1.0, 2.0, 6.0, 3.0], "attention"), window).scores
+        got = mean_pool(ScoreVector([1.0, 2.0, 6.0, 3.0]), window).scores
         assert np.array_equal(got, np.full(4, 3.0))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 40), st.integers(0, 5), st.integers(0, 2**16))
     def test_length_preserved(self, n, half, seed):
-        v = ScoreVector(np.random.default_rng(seed).standard_normal(n), "attention")
+        v = ScoreVector(np.random.default_rng(seed).standard_normal(n))
         assert len(mean_pool(v, 2 * half + 1)) == n
 
 
 class TestValueNorm:
     def test_unit_rows_identity(self):
         v = np.eye(3)
-        s = ScoreVector([0.5, 1.5, 2.5], "attention")
+        s = ScoreVector([0.5, 1.5, 2.5])
         assert np.allclose(value_norm_scale(s, v).scores, s.scores)
 
     def test_small_example(self):
-        got = value_norm_scale(ScoreVector([1.0, 1.0], "attention"), np.array([[3.0, 4.0], [0.0, 0.0]]))
+        got = value_norm_scale(ScoreVector([1.0, 1.0]), np.array([[3.0, 4.0], [0.0, 0.0]]))
         assert np.allclose(got.scores, [5.0, 0.0])
 
     def test_float32_values_match_float64_values(self):
         v = np.random.default_rng(16).standard_normal((50, 128)).astype(np.float32)
-        s = ScoreVector(np.ones(50), "attention")
+        s = ScoreVector(np.ones(50))
         got = value_norm_scale(s, v).scores
         assert np.array_equal(got, value_norm_scale(s, v.astype(np.float64)).scores)
 
     def test_norm_oracle(self):
         rng = np.random.default_rng(7)
         v = rng.standard_normal((20, 6))
-        s = ScoreVector(rng.random(20), "attention")
+        s = ScoreVector(rng.random(20))
         got = value_norm_scale(s, v).scores
         assert np.abs(got - s.scores * np.linalg.norm(v, axis=1)).max() < 1e-6
 
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
-            value_norm_scale(ScoreVector([1.0], "attention"), np.zeros((2, 2)))
+            value_norm_scale(ScoreVector([1.0]), np.zeros((2, 2)))
 
 
 @settings(max_examples=20, deadline=None)
@@ -376,3 +375,53 @@ def test_scores_nonnegative_and_mass_conserved(n, d, chunk, seed):
     s = noncausal_scores(Q, K, AttnScoreConfig(chunk_size=chunk)).scores
     assert (s >= 0).all()
     assert abs(s.sum() - n) < 1e-4
+
+
+@st.composite
+def chunked_shapes(draw):
+    """(N, d, chunk_size): whole chunks plus a tail, often of 0 or 1 rows; with no whole chunk the chunk is longer than N."""
+    c = draw(st.integers(1, 48))
+    tail = min(draw(st.sampled_from([0, 1]) | st.integers(0, 47)), c - 1)
+    return max(1, draw(st.integers(0, 4)) * c + tail), draw(st.integers(1, 16)), c
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    chunked_shapes(),
+    st.sampled_from([np.float32, np.float64]),
+    st.none() | st.integers(1, 3),
+    st.integers(-8, 6),
+    st.integers(0, 2**16),
+)
+def test_noncausal_matches_chunk_by_chunk_on_drawn_inputs(shape, dtype, per, exp, seed):
+    n, d, c = shape
+    Q, K = (np.ldexp(x, exp).astype(dtype) for x in pair(np.random.default_rng(seed), n, d))
+    cfg = AttnScoreConfig(chunk_size=c)
+    with pytest.MonkeyPatch.context() as mp:
+        if per is not None:  # `per` whole chunks per batch, so the chunks split over batches
+            mp.setattr(attnscore, "_CHUNK_BATCH_BYTES", per * c * c * np.dtype(dtype).itemsize)
+        got = noncausal_scores(Q, K, cfg).scores
+    assert np.array_equal(got, chunk_by_chunk(Q, K, cfg))
+    if dtype is np.float64:
+        assert np.abs(got - oracle_noncausal(Q, K, 1 / np.sqrt(d), c)).max() < 1e-5
+
+
+@st.composite
+def causal_shapes(draw):
+    """(N, d, baseline_window, query rows per block)."""
+    n = draw(st.integers(1, 60))
+    return n, draw(st.integers(1, 12)), draw(st.integers(1, n)), draw(st.integers(1, 8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(causal_shapes(), st.integers(-8, 6), st.integers(0, 2**16))
+def test_causal_blocks_match_oracle_on_drawn_inputs(shape, exp, seed):
+    n, d, window, rows = shape
+    Q, K = (np.ldexp(x, exp) for x in pair(np.random.default_rng(seed), n, d))
+    scale = 1 / np.sqrt(d)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(attnscore, "_LOGITS_BYTES", rows * Q.itemsize * n)  # blocks of `rows` query rows
+        h2o = h2o_scores(Q, K).scores
+        snap = snapkv_scores(Q, K, AttnScoreConfig(baseline_window=window)).scores
+    assert np.abs(h2o - oracle_causal(Q, K, scale)).max() < 1e-10
+    assert np.abs(snap - oracle_causal(Q, K, scale, window=window)).max() < 1e-10

@@ -15,7 +15,7 @@ from kvcompactor.harness import SynthProfile, bench_scaling, conditioned_matrix,
 from kvcompactor.harness import verify_spectral, verify_thm2
 
 _MODEL = CalibrationModel(alpha=0.2, beta=1.0)
-_SCORES = ScoreVector(np.arange(1.0, 6.0), kind="attention")
+_SCORES = ScoreVector(np.arange(1.0, 6.0))
 _POLICY = EvictionPolicy(kind="compactor", retention=0.5, sketch=SketchSpec(kind="gaussian", target_dim=2))
 _TRIPLES = [CalibTriple(r, nll, calib_value(r, nll, _MODEL)) for r in (0.3, 0.5, 0.7) for nll in (1.0, 2.0)]
 

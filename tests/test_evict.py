@@ -45,25 +45,25 @@ def brute_force_topk(scores, k):
 
 class TestBlend:
     def test_lambda_zero(self):
-        a = ScoreVector([1.0, 5.0, 2.0], "attention")
-        o = ScoreVector([9.0, 1.0, 4.0], "outlier")
+        a = ScoreVector([1.0, 5.0, 2.0])
+        o = ScoreVector([9.0, 1.0, 4.0])
         got = blend_scores(a, o, 0.0).scores
         assert np.allclose(got, zscore(a.scores))
 
     def test_constant_attention_vector(self):
-        a = ScoreVector([5.0, 5.0, 5.0], "attention")
-        o = ScoreVector([1.0, 2.0, 3.0], "outlier")
+        a = ScoreVector([5.0, 5.0, 5.0])
+        o = ScoreVector([1.0, 2.0, 3.0])
         got = blend_scores(a, o, 1.0).scores
         assert np.allclose(got, zscore(o.scores), atol=1e-9)
 
     def test_negation_cancels(self):
-        a = ScoreVector([1.0, 2.0, 3.0], "attention")
-        o = ScoreVector([3.0, 2.0, 1.0], "outlier")
+        a = ScoreVector([1.0, 2.0, 3.0])
+        o = ScoreVector([3.0, 2.0, 1.0])
         assert np.abs(blend_scores(a, o, 1.0).scores).max() < 1e-6
 
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
-            blend_scores(ScoreVector([1.0], "attention"), ScoreVector([1.0, 2.0], "outlier"), 1.0)
+            blend_scores(ScoreVector([1.0]), ScoreVector([1.0, 2.0]), 1.0)
 
 
 class TestSelectTopK:
@@ -128,11 +128,11 @@ class TestSelectTopK:
     def test_affine_invariance(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            a = ScoreVector(rng.standard_normal(30), "attention")
-            o = ScoreVector(rng.standard_normal(30), "outlier")
+            a = ScoreVector(rng.standard_normal(30))
+            o = ScoreVector(rng.standard_normal(30))
             base = select_topk(blend_scores(a, o, 0.3), 0.4)
-            a2 = ScoreVector(2.5 * a.scores + 7.0, "attention")
-            o2 = ScoreVector(0.25 * o.scores - 3.0, "outlier")
+            a2 = ScoreVector(2.5 * a.scores + 7.0)
+            o2 = ScoreVector(0.25 * o.scores - 3.0)
             moved = select_topk(blend_scores(a2, o2, 0.3), 0.4)
             assert np.array_equal(base, moved)
 

@@ -6,22 +6,30 @@ the sha256 of its plan's indices and of its compacted file must equal the
 ones in golden_outputs.json; so must the sha256 of the CSV that the README's
 ``kvc sweep`` example writes, and of the KVT1 file of a synthesized bundle of
 each profile kind, at a shape of several row blocks, and the plan indices
-of the needle bundle under h2o. A change that moves outputs on purpose
-re-records that file in the same commit, and says why:
+of the needle bundle under h2o. The workload digests must also hold under
+OpenBLAS's Haswell kernels (a subprocess with OPENBLAS_CORETYPE=Haswell);
+the sweep CSV's score quantiles are per kernel, so made_with records the
+kernel. A change that moves outputs on purpose re-records that file in the
+same commit, and says why:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import ctypes
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core import _multiarray_umath
 
+import kvcompactor
 from kvcompactor import _pool
 from kvcompactor import EvictionPolicy, apply_plan, compress_bundle, head_scores, load_bundle, load_plan, save_bundle, save_plan
 from kvcompactor.harness import cli
@@ -68,9 +76,18 @@ def _import_workloads():
 workloads = _import_workloads()
 
 
+def _blas_core() -> str:
+    """The kernel set numpy's OpenBLAS picked at load (e.g. "SkylakeX"), or "unknown" without that symbol."""
+    get = getattr(ctypes.CDLL(_multiarray_umath.__file__), "scipy_openblas_get_corename64_", None)
+    if get is None:
+        return "unknown"
+    get.restype = ctypes.c_char_p
+    return get().decode()
+
+
 def _made_with() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}"}
+    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}", "blas_core": _blas_core()}
 
 
 def _outputs(name: str, tmp: Path):
@@ -164,6 +181,33 @@ def test_outputs_match_golden(name, tmp_path):
             f"token, change, score minus the k-th score: {gaps}; {versions}"
         )
     assert got["file_sha256"] == want["file_sha256"], f"{name}: compacted file differs, plan does not; {versions}"
+
+
+# prints the kernel and each workload's (plan, file) digests; argv: this directory, a scratch directory
+_WORKLOAD_DIGESTS = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import test_golden as g
+docs = {n: g._outputs(n, Path(sys.argv[2]))[0] for n in sorted(g.workloads.WORKLOADS)}
+print(json.dumps({"blas_core": g._blas_core(), "digests": {n: [d["plan_sha256"], d["file_sha256"]] for n, d in docs.items()}}))
+"""
+
+
+def test_outputs_match_golden_under_haswell(tmp_path):
+    # plans and compacted files must not depend on the GEMM kernel OpenBLAS picks for this CPU
+    src = str(Path(kvcompactor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env["OPENBLAS_CORETYPE"] = "Haswell"
+    cmd = [sys.executable, "-c", _WORKLOAD_DIGESTS, str(Path(__file__).parent), str(tmp_path)]
+    run = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    if got["blas_core"] != "Haswell":
+        pytest.skip(f"numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS (kernel {got['blas_core']})")
+    doc = json.loads(GOLDEN.read_text())
+    want = {n: [w["plan_sha256"], w["file_sha256"]] for n, w in doc["workloads"].items()}
+    assert got["digests"] == want, f"workload outputs differ under Haswell; golden made with {doc['made_with']}"
 
 
 def test_readme_sweep_matches_golden(tmp_path):
