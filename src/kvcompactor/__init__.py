@@ -29,6 +29,7 @@ from .evict import (
 )
 from .kvstore import (
     KVBundle,
+    RetainedIndices,
     RetentionPlan,
     ScoreVector,
     apply_plan,
@@ -52,6 +53,7 @@ __all__ = [
     "KVBundle",
     "LeverageResult",
     "POLICY_KINDS",
+    "RetainedIndices",
     "RetentionPlan",
     "ScoreVector",
     "SketchSpec",

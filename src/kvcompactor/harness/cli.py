@@ -21,7 +21,7 @@ from ..kvstore import _read_json, apply_plan, load_bundle, load_plan, save_bundl
 from . import report
 from .bench import bench_scaling
 from .sweep import sweep_policies
-from .synth import SynthProfile, planted_needles, synth_bundle
+from .synth import SYNTH_KINDS, SynthProfile, planted_needles, synth_bundle
 from .verify import sample_size, verify_spectral, verify_thm2
 
 EXIT_OK = 0
@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic KVT1 bundle")
-    p.add_argument("--profile", choices=["gaussian_iid", "low_rank_plus_noise", "needle", "clustered"], required=True)
+    p.add_argument("--profile", choices=SYNTH_KINDS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--rank", type=int, default=0)

@@ -17,6 +17,10 @@ Retention plan file: one JSON document::
     {"version": 1, "retention_target": r, "policy_name": "...", "seed": ...,
      "layers": [[[idx, ...] per head] per layer], "metadata": {...}}
 
+In memory a plan holds each head's indices, ``plan.retained[l][h]``, as a
+RetainedIndices: one read-only int64 array, which save_plan writes as that
+head's list, load_plan reads back into one array and apply_plan gathers with.
+
 Bundles carry both pre-position-embedding keys (scored by the leverage
 module) and the position-embedded keys the live cache would hold, so the
 library stays agnostic of any particular position-encoding scheme. Each KV
@@ -35,7 +39,7 @@ import json
 import math
 import os
 import struct
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
@@ -355,22 +359,71 @@ def load_bundle(path) -> KVBundle:
         return KVBundle._from_tested(finite, **{name: data[:, :, slot] for slot, name in enumerate(names)})
 
 
-def _index_tuple(head, where: str) -> tuple:
-    """One plan head's indices as a tuple of ints, checked in one vectorized pass.
+class RetainedIndices(Sequence):
+    """One plan head's retained token indices: an immutable sequence of ints over one read-only int64 array.
 
-    A 1-D int64 array (compress_bundle's heads) needs no per-element type pass; any other input has one.
+    ``np.asarray`` returns that C-contiguous array without a copy. Items and
+    iteration give Python ints, and slices are RetainedIndices. It compares
+    equal to a tuple, list or RetainedIndices holding the same ints, and
+    hashes as that tuple. The values are copied, and checked to be integers
+    within int64, one per element except for a 1-D int64 array; a bool is not
+    an integer here. RetentionPlan checks their order.
     """
-    if isinstance(head, np.ndarray) and head.dtype == np.int64 and head.ndim == 1:
-        idx = head
-    else:
-        kinds = set(map(type, head))
-        bad = sorted(t.__name__ for t in kinds if issubclass(t, (bool, np.bool_)) or not issubclass(t, (int, np.integer)))
-        if bad:
-            raise DataError(f"{where}: retained indices must be integers, got {', '.join(bad)}")
+
+    __slots__ = ("_idx",)
+
+    def __init__(self, indices):
+        if not (isinstance(indices, np.ndarray) and indices.dtype == np.int64):
+            kinds = set(map(type, indices))
+            bad = sorted(t.__name__ for t in kinds if issubclass(t, (bool, np.bool_)) or not issubclass(t, (int, np.integer)))
+            if bad:
+                raise DataError(f"retained indices must be integers, got {', '.join(bad)}")
         try:
-            idx = np.asarray(head, dtype=np.int64)
+            idx = np.array(indices, dtype=np.int64)  # always a copy: a plan never aliases its caller's array
         except OverflowError as exc:
-            raise DataError(f"{where}: retained index beyond int64 ({exc})") from exc
+            raise DataError(f"retained index beyond int64 ({exc})") from exc
+        if idx.ndim != 1:
+            raise DataError(f"retained indices must be one flat sequence, got {idx.ndim} dimensions")
+        idx.flags.writeable = False
+        self._idx = idx
+
+    def __len__(self):
+        return self._idx.size
+
+    def __getitem__(self, i):
+        return RetainedIndices(self._idx[i]) if isinstance(i, slice) else int(self._idx[i])
+
+    def __iter__(self):
+        return iter(self._idx.tolist())
+
+    def __array__(self, dtype=None, copy=None):
+        arr = self._idx if dtype is None else self._idx.astype(dtype, copy=False)
+        return arr.copy() if copy else arr
+
+    def __eq__(self, other):
+        if isinstance(other, RetainedIndices):
+            return np.array_equal(self._idx, other._idx)
+        if isinstance(other, (tuple, list)):
+            return self._idx.tolist() == list(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self._idx.tolist()))
+
+    def __reduce__(self):
+        return RetainedIndices, (self._idx,)
+
+    def __repr__(self):
+        return f"RetainedIndices({self._idx.tolist()})"
+
+
+def _index_head(head, where: str) -> RetainedIndices:
+    """One plan head's indices as RetainedIndices (an instance passes through), checked in one vectorized pass."""
+    try:
+        head = head if isinstance(head, RetainedIndices) else RetainedIndices(head)
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}") from exc
+    idx = head._idx
     if not idx.size:
         raise DataError(f"{where}: empty retained list (at least 1 token is kept per head)")
     steps = np.flatnonzero(np.diff(idx) <= 0)
@@ -379,12 +432,16 @@ def _index_tuple(head, where: str) -> tuple:
         raise DataError(f"{where}: indices must be strictly increasing, got {idx[i + 1]} after {idx[i]}")
     if idx[0] < 0:
         raise DataError(f"{where}: negative index {idx[0]}")
-    return tuple(idx.tolist())
+    return head
 
 
 @dataclass(frozen=True)
 class RetentionPlan:
-    """Per-(layer, head) sorted token index sets to keep; each field is checked as load_plan checks a file's."""
+    """Per-(layer, head) sorted token index sets to keep; each field is checked as load_plan checks a file's.
+
+    ``retained[l][h]`` is a RetainedIndices: one read-only int64 array per
+    head, built once from any integer sequence, which apply_plan gathers with.
+    """
 
     retained: tuple
     retention_target: Union[float, tuple]
@@ -395,7 +452,8 @@ class RetentionPlan:
     def __post_init__(self):
         nested = (list, tuple, np.ndarray)
         if not isinstance(self.retained, nested) or not all(
-            isinstance(layer, nested) and all(isinstance(head, nested) for head in layer) for layer in self.retained
+            isinstance(layer, nested) and all(isinstance(head, (*nested, RetainedIndices)) for head in layer)
+            for layer in self.retained
         ):
             raise ParameterError("layers must be a list of layers, each a list of per-head index lists")
         if not isinstance(self.policy_name, str):
@@ -409,7 +467,7 @@ class RetentionPlan:
         except (TypeError, ValueError, RecursionError) as exc:  # no JSON form, a circular reference, or too deep
             raise ParameterError(f"metadata must be a JSON object of JSON values ({exc})") from exc
         layers = tuple(
-            tuple(_index_tuple(head, f"layer {l} head {h}") for h, head in enumerate(layer))
+            tuple(_index_head(head, f"layer {l} head {h}") for h, head in enumerate(layer))
             for l, layer in enumerate(self.retained)
         )
         if len(layers) < 1 or len(layers[0]) < 1:
@@ -442,22 +500,45 @@ def _json_text(doc, indent=None) -> str:
 
 
 def _write_json(path, doc, indent=None) -> None:
-    """The one writer of plans and models: _json_text(doc) as UTF-8 and a newline."""
+    """The one writer of models: _json_text(doc) as UTF-8 and a newline."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_json_text(doc, indent) + "\n")
 
 
+def _index_json(idx: np.ndarray) -> bytes:
+    """json.dumps(idx.tolist()) as bytes, for one plan head's increasing non-negative indices, without a Python int each.
+
+    Each index is written right-aligned in the largest index's width, then ", "; the leading zeros are dropped.
+    """
+    width = len(str(idx[-1]))
+    text = np.empty((idx.size, width + 2), np.uint8)
+    text[:, width:] = np.frombuffer(b", ", np.uint8)
+    rest = idx
+    for j in range(width - 1, -1, -1):
+        rest, text[:, j] = np.divmod(rest, 10)
+    text[:, :width] += ord("0")
+    digits = np.searchsorted(10 ** np.arange(1, width), idx, side="right") + 1
+    return b"[" + text[np.arange(width + 2) >= width - digits[:, None]][:-2].tobytes() + b"]"
+
+
 def save_plan(plan: RetentionPlan, path) -> None:
-    """Write a plan as a one-line JSON document; load_plan(save_plan(p)) == p."""
-    doc = {
+    """Write a plan as a one-line JSON document; load_plan(save_plan(p)) == p.
+
+    The bytes are _json_text of {version, retention_target, policy_name, seed, layers, metadata} and a newline,
+    but each head's indices are formatted from its array by _index_json, one head at a time, with no Python int
+    per index: that is faster than json.dumps of the ints, and holds one head's text at a time.
+    """
+    fields = {
         "version": PLAN_VERSION,
         "retention_target": plan.retention_target,
         "policy_name": plan.policy_name,
         "seed": plan.seed,
-        "layers": plan.retained,
-        "metadata": plan.metadata,
     }
-    _write_json(path, doc)
+    with open(path, "wb") as fh:
+        fh.write(_json_text(fields)[:-1].encode() + b', "layers": [')
+        for l, layer in enumerate(plan.retained):
+            fh.write((b", [" if l else b"[") + b", ".join(_index_json(np.asarray(head)) for head in layer) + b"]")
+        fh.write(b'], "metadata": ' + _json_text(plan.metadata).encode() + b"}\n")
 
 
 def _read_json(path, what: str, build):
@@ -515,7 +596,7 @@ def apply_plan(bundle: KVBundle, plan: RetentionPlan) -> KVBundle:
             f"bundle has {bundle.n_layers}x{bundle.n_kv_heads}"
         )
 
-    rows = [[np.asarray(idx) for idx in layer] for layer in plan.retained]
+    rows = [[np.asarray(idx) for idx in layer] for layer in plan.retained]  # the plan's own arrays, not copies
     for (l, h), n in np.ndenumerate(bundle.seq_lens):
         if rows[l][h][-1] >= n:
             raise PlanMismatchError(f"layer {l} head {h}: index {rows[l][h][-1]} out of range for seq_len {n}")

@@ -14,6 +14,7 @@ from kvcompactor import CalibrationModel, calib_value, calibrate, invert_retenti
 from kvcompactor.errors import DataError, FormatError
 from kvcompactor.harness import cli
 from kvcompactor.harness.cli import main
+from kvcompactor.harness.synth import SYNTH_KINDS
 
 
 def run(capsys, *argv):
@@ -258,6 +259,11 @@ class TestPipeline:
         code, out, _ = run(capsys, "synth", "--profile", "gaussian_iid", "--n", 1, "--d", 4, "--out", tmp_path / "b.kvt")
         assert code == 0
         assert "N=1 d=4" in out
+
+    def test_synth_profiles_are_the_synth_kinds(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["synth", "--help"])
+        assert "--profile {" + ",".join(SYNTH_KINDS) + "}" in capsys.readouterr().out
 
     def test_plan_head_counts_differ_is_input_error(self, tmp_path, capsys):
         bundle = tmp_path / "b.kvt"

@@ -7,17 +7,21 @@ ones in golden_outputs.json; so must the sha256 of the CSV that the README's
 ``kvc sweep`` example writes, and of the KVT1 file of a synthesized bundle of
 each profile kind, at a shape of several row blocks, and the plan indices
 of the needle bundle under h2o. The workload digests must also hold under
-OpenBLAS's Haswell kernels (a subprocess with OPENBLAS_CORETYPE=Haswell);
-the sweep CSV's score quantiles are per kernel, so made_with records the
-kernel. A change that moves outputs on purpose re-records that file in the
-same commit, and says why:
+OpenBLAS's Haswell kernels (a subprocess with OPENBLAS_CORETYPE=Haswell).
+The sweep CSV's score quantiles move with the GEMM kernel, so its other
+columns are pinned on every kernel and the whole CSV per kernel, for this
+machine's kernel and Haswell; made_with records the kernel. A change that
+moves outputs on purpose re-records that file in the same commit, and says
+why:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import csv
 import ctypes
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -113,14 +117,21 @@ def _outputs(name: str, tmp: Path):
     return doc, bundle, policy
 
 
-def _readme_sweep_sha256(tmp: Path) -> str:
-    """sha256 of the README sweep CSV: seed-0 needle bundle (N=1000, d=64), its policy and the h2o one, r 0.1, 0.5."""
+def _readme_sweep(tmp: Path) -> dict:
+    """sha256 of the README sweep CSV, whole ("csv_sha256") and without its score-quantile columns ("columns_sha256").
+
+    The CSV is the seed-0 needle bundle (N=1000, d=64) under the README policy and its h2o twin, at r 0.1 and 0.5.
+    """
     bundle, p1, p2, out = (str(tmp / name) for name in ("bundle.kvt", "p1.json", "p2.json", "sweep.csv"))
     Path(p1).write_text(json.dumps(README_POLICY))
     Path(p2).write_text(json.dumps({**README_POLICY, "kind": "h2o"}))
     assert cli.main(["synth", "--profile", "needle", "--n", "1000", "--d", "64", "--seed", "0", "--out", bundle]) == 0
     assert cli.main(["sweep", "--bundle", bundle, "--policies", f"{p1},{p2}", "--rs", "0.1,0.5", "--out", out]) == 0
-    return hashlib.sha256(Path(out).read_bytes()).hexdigest()
+    text = Path(out).read_bytes()
+    rows = list(csv.reader(io.StringIO(text.decode(), newline="")))
+    fixed = [i for i, name in enumerate(rows[0]) if not name.startswith("score_q")]
+    columns = json.dumps([[row[i] for i in fixed] for row in rows]).encode()
+    return {"columns_sha256": hashlib.sha256(columns).hexdigest(), "csv_sha256": hashlib.sha256(text).hexdigest()}
 
 
 def _synth_sha256(kind: str, tmp: Path) -> str:
@@ -183,37 +194,51 @@ def test_outputs_match_golden(name, tmp_path):
     assert got["file_sha256"] == want["file_sha256"], f"{name}: compacted file differs, plan does not; {versions}"
 
 
-# prints the kernel and each workload's (plan, file) digests; argv: this directory, a scratch directory
-_WORKLOAD_DIGESTS = """
+# prints, last, the kernel, each workload's (plan, file) digests and the README sweep's digests;
+# argv: this directory, a scratch directory
+_KERNEL_OUTPUTS = """
 import json, sys
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 import test_golden as g
 docs = {n: g._outputs(n, Path(sys.argv[2]))[0] for n in sorted(g.workloads.WORKLOADS)}
-print(json.dumps({"blas_core": g._blas_core(), "digests": {n: [d["plan_sha256"], d["file_sha256"]] for n, d in docs.items()}}))
+digests = {n: [d["plan_sha256"], d["file_sha256"]] for n, d in docs.items()}
+print(json.dumps({"blas_core": g._blas_core(), "digests": digests, "sweep": g._readme_sweep(Path(sys.argv[2]))}))
 """
+
+
+def _under_haswell(tmp: Path) -> dict:
+    """_KERNEL_OUTPUTS of a subprocess with OPENBLAS_CORETYPE=Haswell."""
+    src = str(Path(kvcompactor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env["OPENBLAS_CORETYPE"] = "Haswell"
+    cmd = [sys.executable, "-c", _KERNEL_OUTPUTS, str(Path(__file__).parent), str(tmp)]
+    run = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
 
 
 def test_outputs_match_golden_under_haswell(tmp_path):
     # plans and compacted files must not depend on the GEMM kernel OpenBLAS picks for this CPU
-    src = str(Path(kvcompactor.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env["OPENBLAS_CORETYPE"] = "Haswell"
-    cmd = [sys.executable, "-c", _WORKLOAD_DIGESTS, str(Path(__file__).parent), str(tmp_path)]
-    run = subprocess.run(cmd, env=env, capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    got = json.loads(run.stdout)
+    got = _under_haswell(tmp_path)
     if got["blas_core"] != "Haswell":
         pytest.skip(f"numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS (kernel {got['blas_core']})")
     doc = json.loads(GOLDEN.read_text())
     want = {n: [w["plan_sha256"], w["file_sha256"]] for n, w in doc["workloads"].items()}
     assert got["digests"] == want, f"workload outputs differ under Haswell; golden made with {doc['made_with']}"
+    sweep = doc["readme_sweep"]
+    assert got["sweep"] == {**sweep, "csv_sha256": sweep["csv_sha256"]["Haswell"]}, "README sweep CSV differs under Haswell"
 
 
 def test_readme_sweep_matches_golden(tmp_path):
     doc = json.loads(GOLDEN.read_text())
+    want, got, core = doc["readme_sweep"], _readme_sweep(tmp_path), _blas_core()
     versions = f"golden made with {doc['made_with']}, this run with {_made_with()}"
-    assert _readme_sweep_sha256(tmp_path) == doc["readme_sweep_sha256"], f"README sweep CSV differs; {versions}"
+    assert got["columns_sha256"] == want["columns_sha256"], f"README sweep CSV differs beyond its quantiles; {versions}"
+    if core not in want["csv_sha256"]:
+        kernels = ", ".join(want["csv_sha256"])
+        pytest.skip(f"README sweep quantiles are pinned under the {kernels} kernels, not this run's {core} kernel")
+    assert got["csv_sha256"] == want["csv_sha256"][core], f"README sweep quantiles differ under {core}; {versions}"
 
 
 @pytest.mark.parametrize("cores", [1, 2])
@@ -254,11 +279,16 @@ def test_swap_gaps_name_each_flipped_token():
 
 
 if __name__ == "__main__":
+    # the sweep CSV is recorded under this machine's kernel and, when OpenBLAS can switch to it, Haswell
     with tempfile.TemporaryDirectory() as tmp:
+        sweep, haswell = _readme_sweep(Path(tmp)), _under_haswell(Path(tmp))
+        by_core = {_blas_core(): sweep["csv_sha256"]}
+        if haswell["blas_core"] == "Haswell":
+            by_core["Haswell"] = haswell["sweep"]["csv_sha256"]
         doc = {
             "made_with": _made_with(),
             "workloads": {n: _outputs(n, Path(tmp))[0] for n in sorted(workloads.WORKLOADS)},
-            "readme_sweep_sha256": _readme_sweep_sha256(Path(tmp)),
+            "readme_sweep": {"columns_sha256": sweep["columns_sha256"], "csv_sha256": by_core},
             "synth_sha256": {kind: _synth_sha256(kind, Path(tmp)) for kind in SYNTH_KINDS},
             "h2o_plan_sha256": _h2o_plan_sha256(),
         }

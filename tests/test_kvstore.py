@@ -1,10 +1,14 @@
 import builtins
+import copy
 import errno
 import json
 import os
+import pickle
 import re
 import stat
 import struct
+import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -12,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvcompactor import _pool, kvstore
-from kvcompactor import AttnScoreConfig, EvictionPolicy, KVBundle, RetentionPlan, SketchSpec, apply_plan, approx_leverage
-from kvcompactor import compress_bundle, load_bundle, load_plan, retained_count, save_bundle, save_plan
+from kvcompactor import AttnScoreConfig, EvictionPolicy, KVBundle, RetainedIndices, RetentionPlan, SketchSpec, apply_plan
+from kvcompactor import approx_leverage, compress_bundle, load_bundle, load_plan, retained_count, save_bundle, save_plan
 from kvcompactor.errors import DataError, FormatError, ParameterError, PlanMismatchError, TruncationError
 from kvcompactor.harness import SynthProfile, synth_bundle
 from kvcompactor.harness.cli import main
@@ -407,7 +411,7 @@ class TestRetentionPlan:
 
     @pytest.mark.parametrize("target", [0.3, (0.25, 0.5)], ids=["scalar", "per_layer"])
     def test_bytes_match_list_encoding(self, tmp_path, target):
-        # tuples go straight to the encoder; the bytes are those of the document spelled out in lists
+        # heads are formatted from their int64 arrays; the bytes are those of the document spelled out in lists
         policy = EvictionPolicy(kind="compactor", retention=target)
         plan = RetentionPlan(
             retained=(((0, 2, 5), (1, 3, 4)), ((7,), (2**40, 2**62))),
@@ -584,24 +588,24 @@ class TestRetentionPlan:
         ids=["valid", "unsorted", "duplicate", "negative", "negative_last", "empty", "large"],
     )
     def test_int64_array_checked_as_its_list(self, idx):
-        # an int64 vector skips the per-element type pass, and must give the same tuple or error as the list
+        # an int64 vector skips the per-element type pass, and must give the same indices or error as the list
         def result(head):
             try:
-                return kvstore._index_tuple(head, "layer 0 head 0")
+                return kvstore._index_head(head, "layer 0 head 0")
             except DataError as exc:
                 return str(exc)
 
         got, want = result(np.array(idx, dtype=np.int64)), result(idx)
         assert got == want and type(got) is type(want)
-        if isinstance(got, tuple):
+        if isinstance(got, RetainedIndices):
             assert all(type(v) is int for v in got)
 
     def test_other_arrays_keep_the_type_pass(self):
         with pytest.raises(DataError, match="retained indices must be integers, got bool"):
-            kvstore._index_tuple(np.array([True, False]), "w")
-        assert kvstore._index_tuple(np.array([0, 3], np.uint64), "w") == (0, 3)
+            kvstore._index_head(np.array([True, False]), "w")
+        assert kvstore._index_head(np.array([0, 3], np.uint64), "w") == (0, 3)
         with pytest.raises(DataError, match="indices must be strictly increasing, got 1 after 3"):
-            kvstore._index_tuple(np.array([3, 1], np.uint64), "w")
+            kvstore._index_head(np.array([3, 1], np.uint64), "w")
 
     @staticmethod
     def plan_file(path, layers):
@@ -691,6 +695,103 @@ class TestRetentionPlan:
         )
         plan = load_plan(path)
         assert plan.retention_target == 1.0
+
+
+class TestRetainedIndices:
+    @staticmethod
+    def plan(retained):
+        return RetentionPlan(retained=retained, retention_target=0.5, policy_name="x")
+
+    def test_asarray_is_the_heads_read_only_array(self):
+        head = self.plan([[np.array([0, 2, 5])]]).retained[0][0]
+        arr = np.asarray(head)
+        assert np.asarray(head) is arr and np.asarray(head, dtype="<i8") is arr
+        assert arr.dtype == np.int64 and arr.flags.c_contiguous and not arr.flags.writeable
+        assert np.shares_memory(head, arr) and not np.shares_memory(head[1:], arr)  # a slice owns a copy
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+        assert head == (0, 2, 5)
+
+    def test_plan_never_aliases_its_callers_array(self):
+        src = np.array([0, 2, 5], dtype=np.int64)
+        plan = self.plan([[src]])
+        src[0] = 1
+        assert plan.retained[0][0] == (0, 2, 5) and not np.shares_memory(src, plan.retained[0][0])
+        head = RetainedIndices(np.array([1, 4]))
+        assert self.plan([[head]]).retained[0][0] is head
+
+    def test_compares_and_hashes_as_its_tuple(self):
+        head = self.plan([[[0, 2, 5]]]).retained[0][0]
+        assert isinstance(head, Sequence) and len(head) == 3 and list(head) == [0, 2, 5]
+        assert all(type(v) is int for v in (*head, head[0], head[-1]))
+        assert head == (0, 2, 5) and (0, 2, 5) == head and head == [0, 2, 5] and [0, 2, 5] == head
+        assert head != (0, 2) and head != (0, 2, 6) and head != RetainedIndices([0, 2]) and head != "025"
+        assert hash(head) == hash((0, 2, 5)) and {(0, 2, 5): "kept"}[head] == "kept"
+        assert isinstance(head[1:], RetainedIndices) and head[1:] == (2, 5) and head[::-1] == (5, 2, 0)
+        assert 5 in head and 4 not in head and head.index(5) == 2 and repr(head) == "RetainedIndices([0, 2, 5])"
+        same = self.plan([[(0, 2, 5)]])
+        assert (same.retained == self.plan([[np.array([0, 2, 5])]]).retained) is True
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        plan = RetentionPlan(
+            retained=[[np.array([0, 2, 5]), np.array([1])], [np.array([3, 4]), np.array([2**62])]],
+            retention_target=(0.25, 0.5),
+            policy_name="compactor",
+            seed=3,
+            metadata={"a": [1, 2]},
+        )
+        for copied in (pickle.loads(pickle.dumps(plan)), copy.deepcopy(plan)):
+            assert copied == plan and copied.retained[1][1] == (2**62,)
+            assert all(isinstance(head, RetainedIndices) for layer in copied.retained for head in layer)
+            assert not np.asarray(copied.retained[0][0]).flags.writeable
+
+    def test_index_kinds_build_equal_plans_and_bytes(self, tmp_path):
+        rng = np.random.default_rng(5)
+        heads = [[np.sort(rng.choice(1000, 40, replace=False)) for _ in range(3)] for _ in range(2)]
+        kinds = {
+            "int64": heads,
+            "tuple": [[tuple(h.tolist()) for h in layer] for layer in heads],
+            "list": [[h.tolist() for h in layer] for layer in heads],
+            "retained": [[RetainedIndices(h) for h in layer] for layer in heads],
+        }
+        saved = {}
+        for kind, retained in kinds.items():
+            plan = self.plan(retained)
+            assert plan == self.plan(heads), kind
+            save_plan(plan, tmp_path / f"{kind}.json")
+            saved[kind] = (tmp_path / f"{kind}.json").read_bytes()
+        assert len(set(saved.values())) == 1
+
+    def test_direct_construction_checks_its_values(self):
+        with pytest.raises(DataError, match="^retained indices must be integers, got bool$"):
+            RetainedIndices([1, True])
+        with pytest.raises(DataError, match="^retained indices must be one flat sequence, got 2 dimensions$"):
+            RetainedIndices(np.zeros((2, 2), np.int64))
+        with pytest.raises(DataError, match="^retained index beyond int64"):
+            RetainedIndices([2**63])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sets(st.integers(0, 2**63 - 1) | st.integers(0, 12), min_size=1, max_size=30))
+    def test_index_text_is_json_of_the_ints(self, values):
+        idx = np.array(sorted(values), dtype=np.int64)
+        assert kvstore._index_json(idx) == json.dumps(idx.tolist()).encode()
+
+    def test_loaded_plan_holds_its_indices_as_int64(self, tmp_path):
+        # 16 heads of 16384 indices: 8 B each as int64, about 40 B each as a tuple of Python ints
+        rng = np.random.default_rng(0)
+        n_heads, n_idx = 16, 16384
+        heads = [[np.sort(rng.choice(2 * n_idx, n_idx, replace=False)) for _ in range(n_heads)]]
+        path = tmp_path / "plan.json"
+        save_plan(self.plan(heads), path)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            plan = load_plan(path)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert list(plan.retained[0][-1]) == heads[0][-1].tolist()
+        assert held / (n_heads * n_idx) <= 12, f"loaded plan holds {held / (n_heads * n_idx):.1f} B per index"
 
 
 class TestApplyPlan:
