@@ -11,16 +11,17 @@ last ``baseline_window`` queries.
 
 Precision follows the inputs, with no option: when Q and K are both
 float32 (every bundle, since KVT1 stores float32), the logits GEMM, the
-scale, the max-subtraction, exp and the row normalization run in float32;
-any other pair is scored in float64. Either way the softmax row sums and
-the per-token scores are accumulated in float64.
+scale, the max-subtraction and exp run in float32, and so do each block's
+softmax row sums and its column sums of the row-normalised block, two
+GEMVs; any other pair is scored in float64. Either way the per-token
+scores are accumulated across chunks and causal blocks in float64.
 
 The non-causal chunks are scored in batches of full chunks of at most
 ``_CHUNK_BATCH_BYTES`` of logits, then the short last chunk, if any, as a
 batch of one: each batch is one batched GEMM into the same buffer,
-allocated per call at the largest batch's size, and its reductions run
-along the same axes, in the same order, as one chunk's, so the scores are
-those of a chunk-by-chunk loop bit for bit. The causal baselines score
+allocated per call at the largest batch's size, and its two GEMVs run
+once per chunk, as one chunk's do, so the scores are those of a
+chunk-by-chunk loop bit for bit. The causal baselines score
 query rows [s, e) against only the e keys those rows can see, in blocks of
 at most ``_LOGITS_BYTES`` of logits, so that block does not grow with N.
 Every causal block of a head is computed into one buffer of the largest
@@ -29,7 +30,8 @@ block's size, mapped for the call and unmapped on return.
 Memory budget. The package's scoring memory is stated here and in one
 README paragraph; other modules point here. Heads are scored on a pool
 (see ``_pool``), one head at a time per worker, so the budget is one
-head's working set per worker. That is O(N) float64 score vectors, copies
+head's working set per worker. That is O(N) vectors (the float64 scores,
+and one block's row and column sums in the scoring dtype), copies
 of Q and K only when they are not already C-contiguous in the scoring
 dtype (a bundle's heads never are copied), and the larger of two terms,
 as the first is freed before the second is allocated:
@@ -109,15 +111,19 @@ def _scale(cfg: AttnScoreConfig, d: int) -> float:
 def _softmax_colsum(logits, out):
     """Accumulate the column sums of the row-softmax of ``logits`` into float64 ``out``; overwrites ``logits``.
 
-    ``logits`` is one (rows, cols) block, or a (batch, rows, cols) stack of
-    them scored independently; ``out`` has its shape without the rows axis.
-    exp and the division run in the logits' dtype; the row and column sums
-    are accumulated in float64 without a float64 copy of the block.
+    ``logits`` is one C-contiguous (rows, cols) block, or a (batch, rows,
+    cols) stack of them scored independently; ``out`` has its shape without
+    the rows axis. After exp, the block's row sums are one GEMV with a
+    vector of ones, and the column sums of the row-normalised block a
+    second GEMV with the reciprocal row sums, both in the logits' dtype, so
+    the block is neither divided nor cast; only their sum into ``out``,
+    across chunks and causal blocks, is float64. A stack runs one GEMV per
+    block.
     """
     logits -= logits.max(axis=-1, keepdims=True)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True, dtype=np.float64).astype(logits.dtype)
-    out += logits.sum(axis=-2, dtype=np.float64)
+    rowsum = logits @ np.ones(logits.shape[-1], logits.dtype)
+    out += ((1 / rowsum)[..., None, :] @ logits)[..., 0, :]
 
 
 def _causal_scores(Q, K, cfg: AttnScoreConfig, start: int) -> ScoreVector:

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kvcompactor import BasisMethod, SketchSpec, apply_sketch, approx_leverage, exact_leverage
 from kvcompactor.errors import DataError, ParameterError
@@ -279,3 +281,42 @@ class TestSpectralPreservation:
         _, _, vt = np.linalg.svd(K, full_matrices=False)
         _, _, vt_hat = np.linalg.svd(khat, full_matrices=False)
         assert principal_angle_gap(vt[:8].T, vt_hat[:8].T) < 0.2
+
+
+@st.composite
+def drawn_keys(draw):
+    """(N, d) float64 keys: rank-r signal plus noise (either may be absent), some columns zeroed, scaled by 2^e."""
+    n, d = draw(st.integers(1, 96)), draw(st.integers(1, 24))
+    rank = draw(st.integers(0, min(n, d)))
+    noise = draw(st.sampled_from([0.0, 1e-2, 1e-1, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    K = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d)) + noise * rng.standard_normal((n, d))
+    K[:, draw(st.lists(st.integers(0, d - 1), max_size=d))] = 0.0
+    return np.ldexp(K, draw(st.integers(-40, 40)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn_keys())
+def test_every_route_matches_the_svd_oracle_on_drawn_keys(K):
+    """Kind "none" scores are U's squared row norms, sum to the effective rank, and agree across routes.
+
+    The oracle keeps U's columns whose singular value is above the default
+    clamp, 1e-6 of the largest. A direction near that floor is counted by
+    one rule and not the other, and the Gram routes resolve a singular value
+    s only to about eps * (s_max / s)^2 of itself, so keys with a singular
+    value between 1e-10 and 1e-4 of the largest are not drawn: the rest are
+    either roundoff of an exact zero (a zeroed column, or noise-free low
+    rank) or well above the floor. Tolerances: C01's 1e-5 against the SVD,
+    C02's 1e-3 for the sum, C06's 1e-4 (qr) and 1e-3 (eig_gram).
+    """
+    u, s, _ = np.linalg.svd(K, full_matrices=False)
+    assume(not np.any((s > 1e-10 * s[0]) & (s < 1e-4 * s[0])))
+    keep = s > 1e-6 * s[0]
+    none = SketchSpec("none", K.shape[1])
+    res = approx_leverage(K, none)
+    got = res.scores.scores
+    assert res.effective_rank == keep.sum()
+    assert np.abs(got - (u[:, keep] ** 2).sum(axis=1)).max() < 1e-5
+    assert abs(got.sum() - res.effective_rank) < 1e-3
+    assert np.abs(got - approx_leverage(K, none, BasisMethod("qr")).scores.scores).max() < 1e-4
+    assert np.abs(got - approx_leverage(K, none, BasisMethod("eig_gram")).scores.scores).max() < 1e-3
